@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository check: tier-1 build+test, race detector, vet, formatting
-# (simplify mode), domain static analysis (blklint), fuzz smoke, and a
-# fleet bench smoke (scratch vs delta bit-identity).
+# (simplify mode), domain static analysis (blklint), fuzz smoke, a
+# serve benchmark smoke, and a fleet bench smoke (scratch vs delta
+# bit-identity).
 # See README.md "Testing & verification" and "Static analysis".
 set -e
 
@@ -96,6 +97,12 @@ go test -run='^$' -fuzz=FuzzAPIDecodeRequest -fuzztime=5s ./internal/api
 go test -run='^$' -fuzz=FuzzSegmentKey -fuzztime=5s ./internal/memo
 go test -run='^$' -fuzz=FuzzDeviceKey -fuzztime=5s ./internal/fleet
 go test -run='^$' -fuzz=FuzzRingOwner -fuzztime=5s ./internal/cluster
+
+# One iteration of each serve-path benchmark, so the in-tree hit and
+# miss cost twins keep compiling and keep answering 200 with the
+# expected X-Cache value.
+echo "== serve benchmark smoke"
+go test -run '^$' -bench 'Serve(Hit|Miss)' -benchtime=1x ./internal/server
 
 # The fleet bench asserts the scratch and delta arms produce identical
 # aggregates before reporting speedup, so this smoke doubles as an

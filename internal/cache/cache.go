@@ -1,10 +1,11 @@
-// Package cache provides the bounded LRU caches behind blkd's service
-// layer: the scenario-keyed result cache (LRU, holding response bodies)
-// and the value store under internal/memo's segment cache (LRUOf). Every
-// simulation in this repository is a pure function of its canonicalized
-// inputs (the determinism suite pins that invariant), so a cached value
-// is provably identical to what a fresh execution would produce — a hit
-// returns byte-identical output, never a stale approximation.
+// Package cache provides the bounded LRU store (LRUOf) under
+// internal/memo's cache-plus-coalescing Group, which serves both of
+// blkd's tiers: response bodies keyed by canonical scenario and segment
+// outputs keyed by canonical input hash. Every simulation in this
+// repository is a pure function of its canonicalized inputs (the
+// determinism suite pins that invariant), so a cached value is provably
+// identical to what a fresh execution would produce — a hit returns
+// byte-identical output, never a stale approximation.
 package cache
 
 import (
@@ -64,7 +65,12 @@ func NewLRUOf[V any](capacity int) *LRUOf[V] {
 func (c *LRUOf[V]) Enabled() bool { return c.capacity > 0 }
 
 // Get returns the value cached under key, marking it most recently used.
+// A disabled cache misses without locking or counting.
 func (c *LRUOf[V]) Get(key string) (V, bool) {
+	if c.capacity <= 0 {
+		var zero V
+		return zero, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -167,22 +173,6 @@ func (c *LRUOf[V]) Stats() Stats {
 	}
 }
 
-// LRU is the scenario result cache: an LRUOf specialized to response
-// bodies, kept as a named type so the server's call sites read as what
-// they are.
-type LRU struct {
-	LRUOf[[]byte]
-}
-
-// NewLRU returns a body cache holding at most capacity entries.
-// capacity <= 0 disables the cache entirely.
-func NewLRU(capacity int) *LRU {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &LRU{LRUOf[[]byte]{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-	}}
-}
+// NewLRU returns a cache of response bodies holding at most capacity
+// entries. capacity <= 0 disables the cache entirely.
+func NewLRU(capacity int) *LRUOf[[]byte] { return NewLRUOf[[]byte](capacity) }

@@ -10,12 +10,12 @@ import (
 // never copied, so they must be owned at insertion and immutable after
 // every hit. Two rules, both driven by the value-flow layer:
 //
-//   - Hit side: memory obtained from a cache-hit source (memo.Do, a
-//     Get on internal/cache or internal/memo, a sink column accessor)
-//     must never be written through — not directly (element, field,
-//     pointer stores; append; copy; in-place sorts) and not by passing
-//     it to a module function whose summary says it writes through
-//     that parameter. One such write poisons every future hit of the
+//   - Hit side: memory obtained from a cache-hit source (memo.Do,
+//     memo.Group.Do, a Get on internal/cache or internal/memo, a sink
+//     column accessor) must never be written through — not directly
+//     (element, field, pointer stores; append; copy; in-place sorts)
+//     and not by passing it to a module function whose summary says it
+//     writes through that parameter. One such write poisons every future hit of the
 //     key, a wrong-answer bug no throughput test catches.
 //
 //   - Insert side: a value handed to a cache Put, or returned by a

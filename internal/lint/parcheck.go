@@ -23,13 +23,15 @@ var ParCheck = &Analyzer{
 // primitives are legitimate. Keep it short and justified:
 //
 //   - internal/par: the worker pool is built FROM these primitives.
-//   - internal/server: the blkd service layer's accept loop, request
-//     coalescing (flightGroup), and graceful drain are event-driven
-//     concurrency, not bounded index fan-out — they cannot be expressed
-//     through the pool they'd otherwise be confined to.
-//   - internal/memo: the segment cache's singleflight coalescing blocks
-//     waiters on the leader's in-flight computation — the same
-//     event-driven shape as the server's flightGroup, one layer down.
+//   - internal/server: the blkd service layer's accept loop and
+//     graceful drain are event-driven concurrency, not bounded index
+//     fan-out — they cannot be expressed through the pool they'd
+//     otherwise be confined to.
+//   - internal/memo: memo.Group, the one cache-plus-coalescing
+//     primitive under both the result and segment tiers, parks
+//     followers on the leader's in-flight computation (a done channel
+//     raced against each follower's ctx) — event-driven waiting, not
+//     fan-out.
 //
 // Everything else still goes through par; extending this list is a
 // review decision, not a //lint:ignore at the call site.

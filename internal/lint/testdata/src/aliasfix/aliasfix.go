@@ -5,6 +5,8 @@
 package aliasfix
 
 import (
+	"context"
+
 	"burstlink/internal/cache"
 	"burstlink/internal/memo"
 )
@@ -88,4 +90,11 @@ func scrub(b []byte) {
 func ScrubHit(c *cache.LRU, key string) {
 	v, _ := c.Get(key)
 	scrub(v) // want "scrub writes through its parameter"
+}
+
+// MutateGroupHit writes through a body served by the result tier's
+// Group.Do: on a hit that is the cached body every later request gets.
+func MutateGroupHit(ctx context.Context, g *memo.Group[[]byte], key string) {
+	body, _, _ := g.Do(ctx, key, func() ([]byte, error) { return make([]byte, 8), nil })
+	body[0] = 0 // want "element write mutates memory obtained from memo.Group.Do"
 }

@@ -4,7 +4,10 @@
 // package-path suffix, so this stub resolves exactly like the real one.
 package memo
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // Keyer is the canonical-key interface segment inputs implement.
 type Keyer interface {
@@ -55,4 +58,18 @@ func (c *Cache) Put(key string, v any) { c.m[key] = v }
 // Do runs compute directly; the real Do memoizes it.
 func Do[T any](c *Cache, segment string, in Keyer, compute func() (T, error)) (T, error) {
 	return compute()
+}
+
+// Group is the cache-plus-coalescing stub: Do computes directly; the
+// real Do serves hits from its LRU, so the value-flow layer treats its
+// first result as cache-resident memory.
+type Group[V any] struct{ m map[string]V }
+
+// NewGroup returns a stub group.
+func NewGroup[V any](capacity int) *Group[V] { return &Group[V]{m: map[string]V{}} }
+
+// Do runs compute directly; the real Do caches and coalesces it.
+func (g *Group[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, string, error) {
+	v, err := compute()
+	return v, "miss", err
 }

@@ -623,9 +623,10 @@ func pkgPathIs(path, base string) bool {
 }
 
 // borrowSource recognizes calls whose first result aliases long-lived
-// cache-resident memory: memo.Do, Get methods on internal/cache and
-// internal/memo types, and sink column accessors. Returns a short
-// description for diagnostics.
+// cache-resident memory: memo.Do, the memo.Group.Do method (blkd's
+// result tier), Get methods on internal/cache and internal/memo types,
+// and sink column accessors. Returns a short description for
+// diagnostics; only memo.Do gets "memo.Do" (see isMemoDoCall).
 func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fun := ast.Unparen(call.Fun)
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation Do[T]
@@ -648,6 +649,8 @@ func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 			switch {
 			case x.Sel.Name == "Get" && (pkgPathIs(path, "cache") || pkgPathIs(path, "memo")):
 				return "cache.Get", true
+			case x.Sel.Name == "Do" && pkgPathIs(path, "memo"):
+				return "memo.Group.Do", true
 			case x.Sel.Name == "Floats" && pkgPathIs(path, "sink"):
 				return "sink.Floats", true
 			}

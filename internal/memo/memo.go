@@ -1,6 +1,7 @@
-// Package memo is the delta-simulation substrate: a bounded,
-// concurrency-safe segment cache plus the canonical-key discipline that
-// makes sub-run memoization sound.
+// Package memo is the delta-simulation substrate and blkd's caching
+// primitive: a bounded, concurrency-safe cache with request coalescing
+// (Group), plus the canonical-key discipline that makes sub-run
+// memoization sound.
 //
 // The repository's simulations compose from named timeline segments
 // (jitter-buffer delivery, per-period phase timelines, per-period power
@@ -14,9 +15,11 @@
 // cache, and a sweep that changes one knob recomputes only the segments
 // the knob invalidates.
 //
-// The cache layers internal/cache's LRU under the singleflight-style
-// coalescing internal/server uses for whole requests: concurrent misses
-// on one key run the segment once and share the value. Cached values are
+// Group, the package's cache-plus-coalescing primitive, layers
+// internal/cache's LRU under singleflight-style coalescing: concurrent
+// misses on one key run compute once and share the value. It serves
+// both of blkd's tiers — whole response bodies in internal/server and
+// segment outputs here, through Cache and Do. Cached values are
 // aliased, never copied — segment outputs are immutable by contract
 // (the determinism suite pins that a cached segment is bit-identical to
 // a recomputed one). That contract is enforced on two levels: the
@@ -33,9 +36,11 @@
 package memo
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -153,122 +158,133 @@ func KeyOf(segment string, k Keyer) string {
 	return w.Sum(segment)
 }
 
-// Stats snapshots the segment cache counters: the LRU's hit/miss/
-// eviction counts plus how many computations were coalesced onto an
-// identical in-flight one.
+// Stats snapshots a Group's counters: the LRU's hit/miss/eviction
+// counts plus how many calls were coalesced onto an identical in-flight
+// computation.
 type Stats struct {
-	Entries   int
-	Capacity  int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	cache.Stats
 	Coalesced uint64
 }
 
-// call is one in-flight segment computation.
-type call struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
+// Status says how Group.Do produced its value. The strings are the
+// X-Cache values blkd reports.
+type Status string
 
-// Cache is the bounded, concurrency-safe segment cache: an LRU of
-// segment outputs keyed by canonical input hashes, with singleflight
-// coalescing so concurrent sweep cells that need the same segment run it
-// once. A nil *Cache is the scratch mode: every Do computes directly.
+const (
+	Hit       Status = "hit"       // served from the LRU
+	Miss      Status = "miss"      // computed by this call, the flight's leader
+	Coalesced Status = "coalesced" // shared from an identical in-flight computation
+)
+
+// ErrComputePanicked is what the followers of a flight receive when the
+// leader's compute panics. Nothing is cached, and the next Do on the key
+// leads a fresh computation.
+var ErrComputePanicked = errors.New("memo: compute panicked")
+
+// Group is the cache-plus-coalescing primitive under both of blkd's
+// tiers: an LRU of values keyed by canonical hashes plus a table of
+// in-flight computations, so concurrent misses on one key run compute
+// once and share its value. Capacity 0 disables the LRU but still
+// coalesces. A nil *Group reports Enabled false and zero Stats; only
+// the package-level Do accepts one (scratch mode).
 //
-// Cached values are aliased, never copied. Segment outputs are immutable
-// by contract; Do's compute functions must return values that are never
-// mutated afterwards.
-type Cache struct {
-	lru       *cache.LRUOf[any]
+// Failure semantics: errors are never cached; a panicking compute
+// re-panics in its leader, hands its followers ErrComputePanicked and
+// leaves the key recomputable; a follower stops waiting when its own ctx
+// ends.
+//
+// The embedded LRU supplies Get, Put and the snapshot pair Dump/Load
+// (internal/cluster), which bypass the flight table and the counters.
+// Cached values are aliased, never copied: compute must return a value
+// that is never mutated afterwards, and callers must not mutate what Do
+// returns.
+type Group[V any] struct {
+	*cache.LRUOf[V]
 	mu        sync.Mutex
-	calls     map[string]*call
+	flights   map[string]*flight[V]
 	coalesced atomic.Uint64
 }
+
+// flight is one in-flight computation; done closes once val and err are
+// final.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// NewGroup returns a Group whose LRU holds at most capacity entries.
+// capacity <= 0 disables the LRU.
+func NewGroup[V any](capacity int) *Group[V] {
+	return &Group[V]{LRUOf: cache.NewLRUOf[V](capacity), flights: make(map[string]*flight[V])}
+}
+
+// Enabled reports whether the LRU can hold entries at all.
+func (g *Group[V]) Enabled() bool { return g != nil && g.LRUOf.Enabled() }
+
+// Stats snapshots the counters. A nil Group reports zeros.
+func (g *Group[V]) Stats() Stats {
+	if g == nil {
+		return Stats{}
+	}
+	return Stats{Stats: g.LRUOf.Stats(), Coalesced: g.coalesced.Load()}
+}
+
+// Do returns compute's value for key: from the LRU (Hit), by leading a
+// new flight (Miss), or by waiting on the flight already computing key
+// (Coalesced). A follower whose ctx ends first returns ctx.Err() and
+// leaves the flight running; the leader still caches its value.
+func (g *Group[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, Status, error) {
+	if v, ok := g.Get(key); ok {
+		return v, Hit, nil
+	}
+	g.mu.Lock()
+	if f, ok := g.flights[key]; ok {
+		g.mu.Unlock()
+		select {
+		case <-f.done:
+			g.coalesced.Add(1)
+			return f.val, Coalesced, f.err
+		case <-ctx.Done():
+			var zero V
+			return zero, Coalesced, ctx.Err()
+		}
+	}
+	f := &flight[V]{done: make(chan struct{}), err: ErrComputePanicked}
+	g.flights[key] = f
+	g.mu.Unlock()
+	g.lead(key, f, compute)
+	return f.val, Miss, f.err
+}
+
+// lead runs compute for f and caches a successful value. The cleanup is
+// deferred so it also runs while a panic unwinds: f.err then keeps its
+// ErrComputePanicked preset, the flight leaves the table, and the panic
+// continues with its original value.
+func (g *Group[V]) lead(key string, f *flight[V], compute func() (V, error)) {
+	defer func() {
+		g.mu.Lock()
+		delete(g.flights, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
+	v, err := compute()
+	if err == nil {
+		g.Put(key, v)
+	}
+	f.val, f.err = v, err
+}
+
+// Cache is the segment cache: a Group of segment outputs keyed by
+// canonical input hashes, so concurrent sweep cells that need the same
+// segment run it once. A nil *Cache is the scratch mode: every Do
+// computes directly.
+type Cache = Group[any]
 
 // NewCache returns a segment cache holding at most capacity entries.
 // capacity <= 0 returns a disabled cache (every Do computes directly),
 // so callers need no separate "memo off" path.
-func NewCache(capacity int) *Cache {
-	return &Cache{
-		lru:   cache.NewLRUOf[any](capacity),
-		calls: make(map[string]*call),
-	}
-}
-
-// Enabled reports whether the cache can hold entries at all. A nil
-// cache is disabled.
-func (c *Cache) Enabled() bool { return c != nil && c.lru.Enabled() }
-
-// Stats snapshots the counters. A nil or disabled cache reports zeros.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	ls := c.lru.Stats()
-	return Stats{
-		Entries:   ls.Entries,
-		Capacity:  ls.Capacity,
-		Hits:      ls.Hits,
-		Misses:    ls.Misses,
-		Evictions: ls.Evictions,
-		Coalesced: c.coalesced.Load(),
-	}
-}
-
-// Dump returns the segment cache's entries, least → most recently used,
-// for snapshot export (internal/cluster). Values are aliased with the
-// cache; the segment read-only contract applies. A nil or disabled
-// cache dumps nothing.
-func (c *Cache) Dump() []cache.EntryOf[any] {
-	if !c.Enabled() {
-		return nil
-	}
-	return c.lru.Dump()
-}
-
-// Load replays dumped segment entries into the cache (least recently
-// used first), restoring contents and recency. Counters are untouched:
-// a warmed cache's subsequent hit/miss behavior is identical to the
-// cache that produced the dump. A nil or disabled cache ignores the
-// load.
-func (c *Cache) Load(entries []cache.EntryOf[any]) {
-	if !c.Enabled() {
-		return
-	}
-	c.lru.Load(entries)
-}
-
-// do returns compute's value for key: cache first, then attach to or
-// lead the in-flight computation of the same key, then compute. Errors
-// are never cached — a failing segment recomputes on the next request.
-func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
-	if v, ok := c.lru.Get(key); ok {
-		return v, nil
-	}
-	c.mu.Lock()
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		cl.wg.Wait()
-		c.coalesced.Add(1)
-		return cl.val, cl.err
-	}
-	cl := &call{}
-	cl.wg.Add(1)
-	c.calls[key] = cl
-	c.mu.Unlock()
-
-	cl.val, cl.err = compute()
-	if cl.err == nil {
-		c.lru.Put(key, cl.val)
-	}
-	c.mu.Lock()
-	delete(c.calls, key)
-	c.mu.Unlock()
-	cl.wg.Done()
-	return cl.val, cl.err
-}
+func NewCache(capacity int) *Cache { return NewGroup[any](capacity) }
 
 // Do returns the segment output for input in, computing it at most once
 // per cache residency: a hit returns the cached value, concurrent
@@ -289,7 +305,7 @@ func Do[T any](c *Cache, segment string, in Keyer, compute func() (T, error)) (T
 	if !c.Enabled() {
 		return compute()
 	}
-	v, err := c.do(KeyOf(segment, in), func() (any, error) { return compute() })
+	v, _, err := c.Do(context.Background(), KeyOf(segment, in), func() (any, error) { return compute() })
 	if err != nil {
 		var zero T
 		return zero, err

@@ -179,10 +179,15 @@ func (m Model) EvaluateRepeated(tl trace.Timeline, n int, load Load) Result {
 // EvaluatePeriodMemo is EvaluatePeriod through the segment cache: the
 // evaluation is keyed by (timeline content, load, model), so any two
 // callers that price the same period share one computation. A nil or
-// disabled cache computes directly.
+// disabled cache computes directly. The compute cannot fail, so the only
+// error is memo.ErrComputePanicked on a caller that coalesced onto a
+// panicking evaluation; it panics too rather than return a zero result.
 func (m Model) EvaluatePeriodMemo(c *memo.Cache, tl trace.Timeline, load Load) PeriodEval {
-	pe, _ := memo.Do(c, "power-period", periodKey{Timeline: tl, Load: load, Model: m},
+	pe, err := memo.Do(c, "power-period", periodKey{Timeline: tl, Load: load, Model: m},
 		func() (PeriodEval, error) { return m.EvaluatePeriod(tl, load), nil })
+	if err != nil {
+		panic(err)
+	}
 	return pe
 }
 

@@ -4,22 +4,24 @@
 // the workload shape downstream planners actually generate — many
 // near-duplicate configurations. The layer stacks three mechanisms:
 //
-//   - a scenario-keyed LRU result cache (internal/cache): requests are
-//     canonicalized (internal/api) and identical scenarios return
-//     byte-identical cached bodies, which determinism makes provably
-//     safe;
+//   - a scenario-keyed result cache: requests are canonicalized
+//     (internal/api) and identical scenarios return byte-identical
+//     cached bodies, which determinism makes provably safe;
 //   - coalescing admission: concurrent requests for the same canonical
 //     scenario attach to one in-flight execution instead of recomputing
 //     it, and sweep cells share the session cache, so overlapping
-//     sweeps coalesce cell by cell onto one par execution;
+//     sweeps coalesce cell by cell onto one par execution. The cache
+//     and the coalescing are one memo.Group of response bodies (the
+//     result tier); a follower leaves on its own deadline and never
+//     inherits another client's cancellation;
 //   - bounded concurrency with queue backpressure: at most MaxConcurrent
 //     model executions run at once (a par.Gate), at most QueueDepth
 //     requests wait, and everything beyond that is rejected with 429 +
 //     Retry-After instead of piling onto the run queue.
 //
-// The package is on parcheck's explicit allowlist: its accept loop,
-// coalescing, and graceful drain are inherently concurrent and cannot be
-// expressed as bounded index fan-out over the par pool.
+// The package is on parcheck's explicit allowlist: its accept loop and
+// graceful drain are inherently concurrent and cannot be expressed as
+// bounded index fan-out over the par pool.
 package server
 
 import (
@@ -37,7 +39,6 @@ import (
 	"time"
 
 	"burstlink/internal/api"
-	"burstlink/internal/cache"
 	"burstlink/internal/cluster"
 	"burstlink/internal/exp"
 	"burstlink/internal/fleet"
@@ -120,16 +121,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is one blkd instance: a handler tree plus the shared service
-// state (cache, coalescing group, admission gate, counters).
+// state (result tier, admission gate, counters).
 type Server struct {
-	cfg    Config
-	p      pipeline.Platform
-	m      power.Model
-	eng    session.Engine
-	cache  *cache.LRU
-	flight *flightGroup
-	gate   *par.Gate
-	mux    *http.ServeMux
+	cfg     Config
+	p       pipeline.Platform
+	m       power.Model
+	eng     session.Engine
+	results *memo.Group[[]byte]
+	gate    *par.Gate
+	mux     *http.ServeMux
 
 	requests  atomic.Uint64
 	rejected  atomic.Uint64
@@ -154,14 +154,13 @@ func New(cfg Config) *Server {
 	}
 	p, m := pipeline.DefaultPlatform(), power.Default()
 	s := &Server{
-		cfg:    cfg,
-		p:      p,
-		m:      m,
-		eng:    session.Engine{P: p, M: m, Memo: memo.NewCache(segEntries), Scratch: cfg.DisableDelta},
-		cache:  cache.NewLRU(entries),
-		flight: newFlightGroup(),
-		gate:   par.NewGate(cfg.MaxConcurrent),
-		mux:    http.NewServeMux(),
+		cfg:     cfg,
+		p:       p,
+		m:       m,
+		eng:     session.Engine{P: p, M: m, Memo: memo.NewCache(segEntries), Scratch: cfg.DisableDelta},
+		results: memo.NewGroup[[]byte](entries),
+		gate:    par.NewGate(cfg.MaxConcurrent),
+		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -217,42 +216,68 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// execute produces the response body for key: result cache first, then
-// (unless coalescing is off) attach to or lead the in-flight execution
-// of the same scenario, then compute. Successful bodies are cached.
+// execute produces the response body for key through the result tier:
+// a cached body, a share of an identical in-flight execution, or a
+// fresh compute whose body is then cached. A follower whose leader's
+// client went away (499) while its own client is still there retries
+// rather than inherit that cancellation; a leader's 504 is shared. With
+// coalescing off, a miss computes directly.
 func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte, *api.Error)) ([]byte, api.CacheStatus, *api.Error) {
-	if s.cache.Enabled() {
-		if body, ok := s.cache.Get(key); ok {
+	run := func() ([]byte, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, timeoutError(err)
+		}
+		body, aerr := compute()
+		if aerr != nil {
+			return nil, aerr
+		}
+		return body, nil
+	}
+	if s.cfg.DisableCoalesce {
+		if body, ok := s.results.Get(key); ok {
 			s.hits.Add(1)
 			return body, api.CacheHit, nil
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, "", timeoutError(err)
-	}
-	if s.cfg.DisableCoalesce {
-		body, aerr := compute()
-		if aerr == nil {
+		body, err := run()
+		if err == nil {
 			s.misses.Add(1)
-			s.cache.Put(key, body)
+			s.results.Put(key, body)
 		}
-		return body, api.CacheMiss, aerr
+		return body, api.CacheMiss, resultError(err)
 	}
-	body, aerr, leader := s.flight.Do(key, func() ([]byte, *api.Error) {
-		body, aerr := compute()
-		if aerr == nil {
-			s.cache.Put(key, body)
+	for {
+		body, st, err := s.results.Do(ctx, key, run)
+		aerr := resultError(err)
+		if st == memo.Coalesced && aerr != nil && aerr.Status == 499 && ctx.Err() == nil {
+			continue // the leader's client went away; this one is still here
 		}
-		return body, aerr
-	})
-	if leader {
-		if aerr == nil {
+		switch {
+		case st == memo.Hit:
+			s.hits.Add(1)
+		case st == memo.Coalesced:
+			s.coalesced.Add(1)
+		case err == nil:
 			s.misses.Add(1)
 		}
-		return body, api.CacheMiss, aerr
+		return body, api.CacheStatus(st), aerr
 	}
-	s.coalesced.Add(1)
-	return body, api.CacheCoalesced, aerr
+}
+
+// resultError maps an error out of the result tier onto the wire: the
+// compute's own *api.Error, a follower's expired context
+// via timeoutError, or a 500 for a leader's panic.
+func resultError(err error) *api.Error {
+	if err == nil {
+		return nil
+	}
+	var aerr *api.Error
+	switch {
+	case errors.As(err, &aerr):
+		return aerr
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return timeoutError(err)
+	}
+	return api.Errf(http.StatusInternalServerError, "internal", "%v", err)
 }
 
 // runSession executes one normalized, validated session request.
@@ -490,7 +515,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // NodeHealth snapshots the node's identity and instantaneous load.
 func (s *Server) NodeHealth() api.Health {
-	cs := s.cache.Stats()
+	cs := s.results.Stats()
 	ms := s.eng.Memo.Stats()
 	h := api.Health{
 		Node:           s.cfg.NodeID,
@@ -529,7 +554,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) WriteSnapshot(w io.Writer) error {
 	snap := cluster.Snapshot{
 		Node:     s.cfg.NodeID,
-		Results:  s.cache.Dump(),
+		Results:  s.results.Dump(),
 		Segments: s.eng.Memo.Dump(),
 	}
 	return snap.Encode(w)
@@ -545,7 +570,7 @@ func (s *Server) Warm(r io.Reader) (*cluster.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Load(snap.Results)
+	s.results.Load(snap.Results)
 	s.eng.Memo.Load(snap.Segments)
 	return snap, nil
 }
@@ -553,7 +578,7 @@ func (s *Server) Warm(r io.Reader) (*cluster.Snapshot, error) {
 // Stats snapshots the service counters, including the delta-simulation
 // segment cache that sits under the result cache.
 func (s *Server) Stats() api.Stats {
-	cs := s.cache.Stats()
+	cs := s.results.Stats()
 	ms := s.eng.Memo.Stats()
 	st := api.Stats{
 		Node:             s.cfg.NodeID,

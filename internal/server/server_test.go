@@ -276,68 +276,6 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-// TestFlightCoalesces pins the coalescing mechanism itself: while a
-// leader's execution is in flight, followers on the same key attach to
-// it, share its exact result, and the compute function runs once.
-func TestFlightCoalesces(t *testing.T) {
-	fg := newFlightGroup()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	calls := 0
-
-	type outcome struct {
-		body   []byte
-		leader bool
-	}
-	leaderDone := make(chan outcome, 1)
-	go func() {
-		body, _, leader := fg.Do("k", func() ([]byte, *api.Error) {
-			calls++
-			close(started)
-			<-release
-			return []byte("leader-body"), nil
-		})
-		leaderDone <- outcome{body, leader}
-	}()
-	<-started
-
-	const followers = 4
-	followerDone := make(chan outcome, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			body, _, leader := fg.Do("k", func() ([]byte, *api.Error) {
-				t.Error("follower compute ran; request was not coalesced")
-				return []byte("follower-body"), nil
-			})
-			followerDone <- outcome{body, leader}
-		}()
-	}
-	// Give the followers time to attach to the in-flight call; one that
-	// hadn't would run its compute and fail the test above.
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-
-	ld := <-leaderDone
-	if !ld.leader || string(ld.body) != "leader-body" {
-		t.Fatalf("leader outcome = %+v", ld)
-	}
-	for i := 0; i < followers; i++ {
-		fo := <-followerDone
-		if fo.leader || string(fo.body) != "leader-body" {
-			t.Fatalf("follower outcome = %+v", fo)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-
-	// The flight table is empty again: a later request recomputes.
-	body, _, leader := fg.Do("k", func() ([]byte, *api.Error) { return []byte("fresh"), nil })
-	if !leader || string(body) != "fresh" {
-		t.Fatalf("post-flight Do = %q leader=%v", body, leader)
-	}
-}
-
 // TestCoalescingHTTP drives coalescing end to end: with the cache off,
 // concurrent identical requests can only avoid recomputation by
 // attaching to the in-flight leader.
