@@ -20,6 +20,10 @@ type Program struct {
 	// lockEdges collects each analyzed package's acquisition-order
 	// edges for the module-global lock-order cycle phase.
 	lockEdges map[string][]LockEdge
+	// heldBodies holds the held-resource dataflow results of package
+	// heldPkg only (see heldBodyOf).
+	heldPkg    string
+	heldBodies map[*ast.BlockStmt]*heldBody
 }
 
 // NewProgram wraps the packages of one analysis run.
@@ -58,7 +62,7 @@ func (p *Program) LockEdges() []LockEdge {
 }
 
 // CFG returns the memoized control-flow graph for a function body, so
-// the four CFG-based analyzers build each graph once between them.
+// the CFG-based analyzers build each graph once between them.
 func (p *Program) CFG(body *ast.BlockStmt) *CFG {
 	if c, ok := p.cfgs[body]; ok {
 		return c

@@ -7,7 +7,7 @@ import (
 )
 
 // This file builds per-function control-flow graphs — the substrate the
-// interprocedural analyzers (gatecheck, lockcheck) run their dataflow on.
+// interprocedural analyzers (the held-resource dataflow, chancheck) run on.
 // The graph is intraprocedural and syntactic: blocks hold the statements
 // (and branch condition expressions) in execution order, and conditional
 // edges carry the governing condition with the truth value it takes on

@@ -2,8 +2,10 @@ package lint
 
 import "go/ast"
 
-// FlowAnalysis is one forward dataflow problem over a CFG: gatecheck
-// instantiates it with held-slot facts, lockcheck with held-mutex sets.
+// FlowAnalysis is one forward dataflow problem over a CFG: the shared
+// held-resource dataflow behind gatecheck, lockcheck, lockorder and
+// leakcheck instantiates it with per-resource hold states (heldflow.go),
+// chancheck with may-closed channel sets.
 // Facts are treated as immutable values — Transfer and Branch must
 // return a fresh fact rather than mutate their argument, because one
 // out-fact fans out over several edges.

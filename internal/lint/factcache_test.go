@@ -167,3 +167,30 @@ func TestFactCacheRejectsTornEntries(t *testing.T) {
 		t.Fatalf("torn-entry stats = %+v, want a miss and a fresh analysis", stats)
 	}
 }
+
+// TestFactCacheDocSaltsKey: an analyzer's Doc is part of every cache
+// key, so entries written under an older description of an analyzer —
+// one that may not report what the current one does — are a full miss.
+func TestFactCacheDocSaltsKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads packages from source")
+	}
+	mod := writeTestModule(t, map[string]string{
+		"go.mod": factTestGoMod,
+		"a/a.go": "package a\n\n// N is a number.\nconst N = 1\n",
+		"b/b.go": "package b\n\nimport \"tmpmod/a\"\n\n// M is another.\nconst M = a.N\n",
+	})
+	cacheDir := filepath.Join(mod, ".blklint-cache")
+	older := *LeakCheck
+	older.Doc = "flag goroutines in the service packages that can block forever"
+	if _, stats, err := RunCached(mod, cacheDir, []string{"./..."}, []*Analyzer{&older}); err != nil || stats.Analyzed != 2 {
+		t.Fatalf("seed run: stats=%+v err=%v", stats, err)
+	}
+	_, stats, err := RunCached(mod, cacheDir, []string{"./..."}, []*Analyzer{LeakCheck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cached != 0 || stats.Analyzed != 2 {
+		t.Fatalf("changed-doc stats = %+v, want a full miss (0 cached / 2 analyzed)", stats)
+	}
+}

@@ -28,9 +28,17 @@ import (
 //   - a select escapes as a unit when any one of its cases can;
 //   - Gate.Acquire must not be handed context.Background()/TODO().
 //
-// WaitGroup.Done-on-all-paths rides the same pass: a goroutine body
-// that calls wg.Done on some CFG path must reach it (or a registered
-// defer of it) on every path — a conditional Done hangs wg.Wait.
+// Two WaitGroup rules report over the shared held-resource dataflow
+// (heldflow.go), where Add acquires a count and Done releases it:
+//
+//   - a goroutine body that calls wg.Done starts out owing it, and must
+//     reach a Done (or register a defer of one) on every path — a
+//     conditional Done hangs wg.Wait;
+//   - the leader rule: a body that both Adds and Dones one key outside
+//     func literals — a coalesced flight's leader — must balance them on
+//     every path, and a call through a func-typed value between them is
+//     a may-panic edge to Exit. A compute that panics past a plain Done
+//     wedges every follower in Wait; only a deferred Done covers it.
 //
 // Soundness limits: channels reaching the goroutine as function
 // parameters are exempt (ownership and close site are the caller's),
@@ -39,7 +47,7 @@ import (
 // when declared in the same package.
 var LeakCheck = &Analyzer{
 	Name: "leakcheck",
-	Doc:  "flag goroutines in the service packages that can block forever on a channel op or Gate.Acquire with no ctx/close escape; require wg.Done on every goroutine path",
+	Doc:  "flag goroutines in the service packages that can block forever on a channel op or Gate.Acquire with no ctx/close escape; require wg.Done on every goroutine path, and a leader's wg.Add balanced by Done on every path, panics included",
 	Scope: func(pkgPath string) bool {
 		for _, sub := range []string{"internal/server", "internal/cluster", "internal/par", "internal/memo"} {
 			if strings.HasSuffix(pkgPath, sub) || strings.Contains(pkgPath, sub+"/") {
@@ -70,11 +78,20 @@ func runLeakCheck(pass *Pass) {
 				if !ok {
 					return true
 				}
-				checkGoroutine(pass, g, env, reported)
+				checkGoroutine(pass, fd.Name.Name, g, env, reported)
 				return true
 			})
 		}
 	}
+	forEachHeldBody(pass, func(_ string, _ *ast.BlockStmt, r *heldBody) {
+		for k, st := range r.exit.res {
+			if _, owed := r.owed[k.expr]; k.kind != resWaitGroup || owed || st.hold != hHeld && st.hold != hMaybe || reported[st.pos] {
+				continue
+			}
+			reported[st.pos] = true
+			pass.Reportf(st.pos, "%[1]s.Add is not balanced by %[1]s.Done() on every path, panics included; a skipped Done blocks every %[1]s.Wait() forever — defer %[1]s.Done() right after the Add", k.expr)
+		}
+	})
 }
 
 // leakEnv is what the spawning function knows about the channels a
@@ -91,8 +108,9 @@ type leakEnv struct {
 }
 
 // checkGoroutine analyzes one go statement's body: a func literal
-// directly, or a named callee declared in the same package.
-func checkGoroutine(pass *Pass, g *ast.GoStmt, env *leakEnv, reported map[token.Pos]bool) {
+// directly, or a named callee declared in the same package. fnName is
+// the declaration enclosing the go statement.
+func checkGoroutine(pass *Pass, fnName string, g *ast.GoStmt, env *leakEnv, reported map[token.Pos]bool) {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		inner := &leakEnv{caps: env.caps, closed: env.closed, params: make(map[types.Object]bool, len(env.params))}
 		for o := range env.params {
@@ -102,7 +120,7 @@ func checkGoroutine(pass *Pass, g *ast.GoStmt, env *leakEnv, reported map[token.
 			inner.params[o] = true
 		}
 		checkGoroutineBody(pass, lit.Body, inner, reported)
-		checkGoroutineWaitGroup(pass, lit.Body, reported)
+		checkGoroutineWaitGroup(pass, fnName, lit.Body, reported)
 		return
 	}
 	callee := StaticCallee(pass.TypesInfo, g.Call)
@@ -119,7 +137,7 @@ func checkGoroutine(pass *Pass, g *ast.GoStmt, env *leakEnv, reported map[token.
 		closed: env.closed,
 	}
 	checkGoroutineBody(pass, node.Decl.Body, inner, reported)
-	checkGoroutineWaitGroup(pass, node.Decl.Body, reported)
+	checkGoroutineWaitGroup(pass, node.Decl.Name.Name, node.Decl.Body, reported)
 }
 
 // checkGoroutineBody scans one goroutine body for blocking operations
@@ -169,11 +187,9 @@ func checkGoroutineBody(pass *Pass, body *ast.BlockStmt, env *leakEnv, reported 
 					}
 				}
 			case *ast.CallExpr:
-				if sel, ok := m.Fun.(*ast.SelectorExpr); ok {
-					if gate, method := gateMethod(pass, sel); gate != "" && method == "Acquire" && len(m.Args) > 0 {
-						if pkg, name := backgroundCtx(pass, m.Args[0]); pkg != "" {
-							report(m.Pos(), "goroutine blocks in %s.Acquire with context.%s(); no cancellation can ever release it — plumb a cancellable ctx", gate, name)
-						}
+				if op, ok := resCall(pass.TypesInfo, m); ok && op.method() == "Acquire" && len(m.Args) > 0 {
+					if pkg, name := backgroundCtx(pass, m.Args[0]); pkg != "" {
+						report(m.Pos(), "goroutine blocks in %s.Acquire with context.%s(); no cancellation can ever release it — plumb a cancellable ctx", op.key(), name)
 					}
 				}
 			}
@@ -426,140 +442,25 @@ func closedChanObjs(pass *Pass) map[types.Object]bool {
 	return v.(map[types.Object]bool)
 }
 
-// --- WaitGroup.Done on all paths ---
-
-// wgFact is the set of WaitGroup keys whose Done is guaranteed on the
-// path so far (join = intersection).
-type wgFact map[string]token.Pos
-
-func wgFactEqual(a, b any) bool {
-	x, y := a.(wgFact), b.(wgFact)
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if _, ok := y[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func wgFactJoin(a, b any) any {
-	x, y := a.(wgFact), b.(wgFact)
-	out := wgFact{}
-	for k, v := range x {
-		if _, ok := y[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // checkGoroutineWaitGroup demands that a goroutine body calling wg.Done
 // on some path reaches a Done (or registers a defer of one) on every
 // path — the spawner's wg.Add(1) is otherwise never balanced.
-func checkGoroutineWaitGroup(pass *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
-	first := make(map[string]token.Pos)
-	var order []string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if key, ok := wgDoneIn(pass, n); ok {
-			if _, seen := first[key]; !seen {
-				first[key] = n.Pos()
-				order = append(order, key)
-			}
-		}
-		return true
-	})
-	if len(first) == 0 {
+func checkGoroutineWaitGroup(pass *Pass, fnName string, body *ast.BlockStmt, reported map[token.Pos]bool) {
+	r := heldBodyOf(pass, fnName, body)
+	if r == nil {
 		return
 	}
-	cfg := pass.Prog.CFG(body)
-	transfer := func(fact any, n ast.Node) any {
-		f := fact.(wgFact)
-		key, ok := wgDoneIn(pass, n)
-		if !ok {
-			return f
-		}
-		out := make(wgFact, len(f)+1)
-		for k, v := range f {
-			out[k] = v
-		}
-		out[key] = n.Pos()
-		return out
+	keys := make([]string, 0, len(r.owed))
+	for key := range r.owed {
+		keys = append(keys, key)
 	}
-	in := cfg.Forward(FlowAnalysis{
-		Entry:    func() any { return wgFact{} },
-		Transfer: transfer,
-		Join:     wgFactJoin,
-		Equal:    wgFactEqual,
-	})
-	exit, ok := in[cfg.Exit]
-	if !ok {
-		return
-	}
-	f := exit.(wgFact)
-	sort.Strings(order)
-	for _, key := range order {
-		if _, done := f[key]; done {
-			continue
-		}
-		pos := first[key]
-		if reported[pos] {
+	sort.Strings(keys)
+	for _, key := range keys {
+		pos := r.owed[key]
+		if st := r.exit.res[resKey{resWaitGroup, key}]; st.hold != hHeld && st.hold != hMaybe || reported[pos] {
 			continue
 		}
 		reported[pos] = true
 		pass.Reportf(pos, "%s.Done() is not reached on every path of this goroutine; a skipped Done hangs %s.Wait() forever — defer it at the top of the goroutine", key, key)
 	}
-}
-
-// wgDoneIn returns (receiverKey, true) when n is a statement-level
-// wg.Done() call, a defer of one, or a deferred func literal containing
-// one at statement level.
-func wgDoneIn(pass *Pass, n ast.Node) (string, bool) {
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		return wgDoneCall(pass, n.X)
-	case *ast.DeferStmt:
-		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			key, found := "", false
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if es, ok := m.(*ast.ExprStmt); ok && !found {
-					key, found = wgDoneCall(pass, es.X)
-				}
-				return !found
-			})
-			return key, found
-		}
-		return wgDoneCall(pass, n.Call)
-	}
-	return "", false
-}
-
-// wgDoneCall returns (receiverKey, true) when e is wg.Done() on a
-// sync.WaitGroup.
-func wgDoneCall(pass *Pass, e ast.Expr) (string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return "", false
-	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "WaitGroup" {
-		return "", false
-	}
-	return types.ExprString(sel.X), true
 }

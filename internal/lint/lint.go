@@ -22,8 +22,10 @@
 //     the forgotten field.
 //
 // The interprocedural layer (CFG builder, static call graph, forward
-// dataflow framework — see cfg.go, callgraph.go, dataflow.go) carries
-// four more analyzers:
+// dataflow framework — see cfg.go, callgraph.go, dataflow.go — and the
+// one held-resource dataflow over mutexes, gate slots and WaitGroup
+// counts that gatecheck, lockcheck, lockorder and leakcheck report
+// from, heldflow.go) carries four more analyzers:
 //
 //   - gatecheck: every par.Gate slot acquired must be released on all
 //     CFG paths, error returns and panics included.
@@ -55,7 +57,8 @@
 //   - leakcheck: goroutines spawned in the service packages must not be
 //     able to block forever on a channel op or Gate.Acquire without a
 //     ctx.Done()/close-signal escape, and wg.Done must be reached on
-//     every goroutine path.
+//     every goroutine path — and, in a body that both Adds and Dones,
+//     on every path, a panic through a func-typed call included.
 //   - chancheck: channel discipline — no send on a possibly-closed
 //     channel, no double close, no close by a pure receiver.
 //

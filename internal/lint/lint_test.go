@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,6 +191,55 @@ func TestLockOrderFixture(t *testing.T) {
 // field, deferred wg.Done, caller-owned parameter channels).
 func TestLeakCheckFixture(t *testing.T) {
 	checkFixture(t, "server/leakfix", []*Analyzer{LeakCheck})
+}
+
+// TestFlightFixFixture lives at burstlink/internal/server/flightfix —
+// inside leakcheck's scope. It pins the leader rule on the pre-fix
+// flight shape (plain Done after a caller-supplied compute) against its
+// deferred twin, and the same may-panic edge on a held gate slot.
+func TestFlightFixFixture(t *testing.T) {
+	checkFixture(t, "server/flightfix", []*Analyzer{LeakCheck, GateCheck})
+}
+
+// TestHeldFlowOrderIndependent runs the four held-resource reporters
+// together, in both list orders, over their fixtures: the findings must
+// equal the union of the single-analyzer runs, whichever reporter
+// computes the shared per-body dataflow first.
+func TestHeldFlowOrderIndependent(t *testing.T) {
+	four := []*Analyzer{GateCheck, LockCheck, LockOrder, LeakCheck}
+	reversed := []*Analyzer{LeakCheck, LockOrder, LockCheck, GateCheck}
+	for _, name := range []string{"gatefix", "lockfix", "lockorderfix", "server/leakfix", "server/flightfix"} {
+		pkg := loadFixture(t, name)
+		var union []Finding
+		for _, a := range four {
+			union = append(union, RunAnalyzers([]*Package{pkg}, []*Analyzer{a})...)
+		}
+		if len(union) == 0 {
+			t.Fatalf("%s: no findings to compare", name)
+		}
+		want := sortedFindings(union)
+		for _, set := range [][]*Analyzer{four, reversed} {
+			if got := sortedFindings(RunAnalyzers([]*Package{pkg}, set)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: findings depend on analyzer order %v:\ngot:  %v\nwant: %v", name, set, got, want)
+			}
+		}
+	}
+}
+
+// sortedFindings orders findings totally (position, analyzer, message).
+func sortedFindings(fs []Finding) []Finding {
+	out := append([]Finding(nil), fs...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos != b.Pos {
+			return a.Pos.Filename < b.Pos.Filename || a.Pos.Filename == b.Pos.Filename && a.Pos.Offset < b.Pos.Offset
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
+	return out
 }
 
 // TestChanCheckFixture runs chancheck together with lockcheck: the

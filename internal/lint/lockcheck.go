@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -15,11 +15,11 @@ import (
 // slowest peer — the classic service-layer stall that -race never sees
 // because it is a liveness bug, not a data race.
 //
-// The analysis is a forward dataflow on the CFG tracking the set of
-// mutexes definitely held (join = intersection, so conditional locking
-// never over-reports). defer mu.Unlock() does NOT end the critical
-// section — the lock stays held to function exit, which is the point of
-// the idiom and of the check. Interprocedural reach is one call level
+// It reports over the must-held view of the shared held-resource
+// dataflow (heldflow.go): the mutexes definitely held (join =
+// intersection, so conditional locking never over-reports). defer
+// mu.Unlock() does NOT end the critical section — the lock stays held
+// to function exit, which is the point of the idiom and of the check. Interprocedural reach is one call level
 // deep: calling a module function whose own body directly contains a
 // blocking operation is flagged too.
 //
@@ -34,149 +34,19 @@ var LockCheck = &Analyzer{
 	Run:  runLockCheck,
 }
 
-// lockFact is the set of definitely-held mutexes: expr string → Lock
-// call position.
-type lockFact map[string]token.Pos
-
-func lockFactEqual(a, b any) bool {
-	x, y := a.(lockFact), b.(lockFact)
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if w, ok := y[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-// lockFactJoin intersects: only mutexes held on every inbound path
-// count, so `if c { mu.Lock() }` merges to unheld.
-func lockFactJoin(a, b any) any {
-	x, y := a.(lockFact), b.(lockFact)
-	out := lockFact{}
-	for k, v := range x {
-		if _, ok := y[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 func runLockCheck(pass *Pass) {
-	summaries := blockingSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				checkLockBody(pass, body, summaries)
-			})
+	sums := heldSummaries(pass.Prog)
+	forEachHeldBody(pass, func(_ string, body *ast.BlockStmt, r *heldBody) {
+		if len(r.locked) == 0 {
+			return
 		}
-	}
-}
-
-func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]string) {
-	if !bodyMentionsMutex(pass, body) {
-		return
-	}
-	nonBlocking := nonBlockingComms(body)
-	caps := chanMakeCaps(pass, body)
-	cfg := pass.Prog.CFG(body)
-	transfer := func(fact any, n ast.Node) any {
-		f := fact.(lockFact)
-		key, method, ok := mutexOp(pass, n)
-		if !ok {
-			return f
+		nonBlocking := nonBlockingComms(body)
+		caps := chanMakeCaps(pass, body)
+		reported := make(map[token.Pos]bool)
+		for _, ln := range r.locked {
+			reportBlockingOps(pass, ln.n, ln.held, sums, nonBlocking, caps, reported)
 		}
-		out := make(lockFact, len(f))
-		for k, v := range f {
-			out[k] = v
-		}
-		switch method {
-		case "Lock", "RLock":
-			out[key] = n.Pos()
-		case "Unlock", "RUnlock":
-			delete(out, key)
-		}
-		return out
-	}
-	in := cfg.Forward(FlowAnalysis{
-		Entry:    func() any { return lockFact{} },
-		Transfer: transfer,
-		Join:     lockFactJoin,
-		Equal:    lockFactEqual,
 	})
-	// Reporting pass: replay each reachable block and scan every node
-	// reached with a non-empty hold set for blocking operations.
-	reported := make(map[token.Pos]bool)
-	for _, blk := range cfg.Blocks {
-		fact, ok := in[blk]
-		if !ok {
-			continue
-		}
-		f := fact.(lockFact)
-		for _, n := range blk.Nodes {
-			if len(f) > 0 {
-				reportBlockingOps(pass, n, f, summaries, nonBlocking, caps, reported)
-			}
-			f = transfer(f, n).(lockFact)
-		}
-	}
-}
-
-// mutexOp returns (receiverKey, method, true) when n is a statement-
-// level Lock/RLock/Unlock/RUnlock call on a sync.Mutex or sync.RWMutex.
-func mutexOp(pass *Pass, n ast.Node) (string, string, bool) {
-	var e ast.Expr
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		e = n.X
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the section open; no state change.
-		return "", "", false
-	default:
-		return "", "", false
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	if !isSyncMutex(pass.TypesInfo.TypeOf(sel.X)) {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
-}
-
-// isSyncMutex reports whether t is sync.Mutex/RWMutex (or a pointer).
-func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // nonBlockingComms marks the comm statements of every select that has a
@@ -184,46 +54,49 @@ func isSyncMutex(t types.Type) bool {
 func nonBlockingComms(body *ast.BlockStmt) map[ast.Node]bool {
 	out := make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc := c.(*ast.CommClause); cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if hasDefault {
-			for _, c := range sel.Body.List {
-				if cc := c.(*ast.CommClause); cc.Comm != nil {
-					out[cc.Comm] = true
-					// Receives appear as expression or assignment comms.
-					ast.Inspect(cc.Comm, func(m ast.Node) bool {
-						out[m] = true
-						return true
-					})
-				}
-			}
+		if sel, ok := n.(*ast.SelectStmt); ok {
+			markNonBlocking(sel, out)
 		}
 		return true
 	})
 	return out
 }
 
+// markNonBlocking marks sel's comm statements, and every node inside
+// them, when sel has a default clause.
+func markNonBlocking(sel *ast.SelectStmt, out map[ast.Node]bool) {
+	hasDefault := false
+	for _, c := range sel.Body.List {
+		if cc := c.(*ast.CommClause); cc.Comm == nil {
+			hasDefault = true
+		}
+	}
+	if !hasDefault {
+		return
+	}
+	for _, c := range sel.Body.List {
+		if cc := c.(*ast.CommClause); cc.Comm != nil {
+			// Receives appear as expression or assignment comms.
+			ast.Inspect(cc.Comm, func(m ast.Node) bool {
+				out[m] = true
+				return true
+			})
+		}
+	}
+}
+
 // reportBlockingOps scans one CFG node for operations that can block,
 // reporting each against the currently held mutexes.
-func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*types.Func]string, nonBlocking map[ast.Node]bool, caps map[types.Object]int64, reported map[token.Pos]bool) {
+func reportBlockingOps(pass *Pass, n ast.Node, held []heldMutex, sums map[*types.Func]*heldSummary, nonBlocking map[ast.Node]bool, caps map[types.Object]int64, reported map[token.Pos]bool) {
 	report := func(pos token.Pos, what string) {
 		if reported[pos] {
 			return
 		}
 		reported[pos] = true
-		keys := make([]string, 0, len(held))
-		for k := range held {
-			keys = append(keys, k)
+		keys := make([]string, len(held))
+		for i, m := range held {
+			keys[i] = m.expr
 		}
-		sort.Strings(keys)
 		pass.Reportf(pos, "%s while holding %s; release the lock first — a blocked holder stalls every goroutine contending for it", what, strings.Join(keys, ", "))
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -256,7 +129,7 @@ func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*typ
 				}
 			}
 		case *ast.CallExpr:
-			if what := blockingCall(pass, m, held, summaries); what != "" {
+			if what := blockingCall(pass, m, held, sums); what != "" {
 				report(m.Pos(), what)
 			}
 		}
@@ -268,11 +141,16 @@ func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*typ
 // WaitGroup.Wait, a second Lock of an already-held mutex, anything from
 // net or net/http, or (one level deep) a module function whose body
 // blocks.
-func blockingCall(pass *Pass, call *ast.CallExpr, held lockFact, summaries map[*types.Func]string) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if gate, method := gateMethod(pass, sel); gate != "" && method == "Acquire" {
+func blockingCall(pass *Pass, call *ast.CallExpr, held []heldMutex, sums map[*types.Func]*heldSummary) string {
+	if op, ok := resCall(pass.TypesInfo, call); ok && op.acquire {
+		switch {
+		case op.method() == "Acquire":
 			return "Gate.Acquire (blocks for an admission slot)"
+		case op.class.kind == resMutex && slices.ContainsFunc(held, func(m heldMutex) bool { return m.expr == op.key() }):
+			return "second Lock of the held mutex (self-deadlock)"
 		}
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if pkg, name := resolvePkgFunc(pass, sel); pkg != "" {
 			if pkg == "time" && name == "Sleep" {
 				return "time.Sleep"
@@ -282,93 +160,20 @@ func blockingCall(pass *Pass, call *ast.CallExpr, held lockFact, summaries map[*
 			}
 		}
 		// Methods on net/http types (http.Client.Do, net.Conn.Read, ...).
-		if t := pass.TypesInfo.TypeOf(sel.X); t != nil {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
+		if obj := namedObj(pass.TypesInfo.TypeOf(sel.X)); obj != nil && obj.Pkg() != nil {
+			path := obj.Pkg().Path()
+			if path == "net" || path == "net/http" || strings.HasPrefix(path, "net/") {
+				return path + " method call (network I/O)"
 			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				path := named.Obj().Pkg().Path()
-				if path == "net" || path == "net/http" || strings.HasPrefix(path, "net/") {
-					return path + " method call (network I/O)"
-				}
-				if path == "sync" && named.Obj().Name() == "WaitGroup" && sel.Sel.Name == "Wait" {
-					return "sync.WaitGroup.Wait"
-				}
-				if path == "sync" && (named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex") && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
-					if _, same := held[types.ExprString(sel.X)]; same {
-						return "second Lock of the held mutex (self-deadlock)"
-					}
-				}
+			if path == "sync" && obj.Name() == "WaitGroup" && sel.Sel.Name == "Wait" {
+				return "sync.WaitGroup.Wait"
 			}
 		}
 	}
 	if callee := StaticCallee(pass.TypesInfo, call); callee != nil {
-		if what, ok := summaries[callee]; ok {
-			return "call to " + callee.Name() + " (its body " + what + ")"
+		if s := sums[callee]; s != nil && s.blocks != "" {
+			return "call to " + callee.Name() + " (its body " + s.blocks + ")"
 		}
 	}
 	return ""
-}
-
-// blockingSummaries computes, once per Program, whether each module
-// function's own body directly contains a blocking operation — the one
-// call level the interprocedural check reaches.
-func blockingSummaries(pass *Pass) map[*types.Func]string {
-	v := pass.Prog.Cache("lockcheck.blocking", func() any {
-		out := make(map[*types.Func]string)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			p := &Pass{TypesInfo: node.Pkg.Info}
-			nonBlocking := nonBlockingComms(node.Decl.Body)
-			what := ""
-			ast.Inspect(node.Decl.Body, func(m ast.Node) bool {
-				if what != "" {
-					return false
-				}
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
-				if nonBlocking[m] {
-					return true
-				}
-				switch m := m.(type) {
-				case *ast.SendStmt:
-					what = "sends on a channel"
-				case *ast.UnaryExpr:
-					if m.Op == token.ARROW {
-						what = "receives from a channel"
-					}
-				case *ast.CallExpr:
-					if w := blockingCall(p, m, lockFact{}, nil); w != "" {
-						what = "calls " + w
-					}
-				}
-				return what == ""
-			})
-			if what != "" {
-				out[node.Fn] = what
-			}
-		}
-		return out
-	})
-	return v.(map[*types.Func]string)
-}
-
-// bodyMentionsMutex is the cheap pre-filter for lockcheck.
-func bodyMentionsMutex(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			switch sel.Sel.Name {
-			case "Lock", "RLock":
-				if isSyncMutex(pass.TypesInfo.TypeOf(sel.X)) {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,9 +20,10 @@ import (
 // deadlocks. The cycle in the static graph is the one artifact that
 // exists before the interleaving does.
 //
-// The per-function analysis reuses lockcheck's held-set dataflow (join =
-// intersection, defer mu.Unlock() keeps the section open to exit), but
-// keys mutexes globally — a field mutex is named by its defining
+// The per-function analysis reads the must-held view of the shared
+// held-resource dataflow (heldflow.go) — lockcheck's view: join =
+// intersection, defer mu.Unlock() keeps the section open to exit — with
+// each mutex's global key — a field mutex is named by its defining
 // package, owner type, and field (pkg.Type.mu), a package-level mutex by
 // pkg.name — so acquisition sites in different functions and packages
 // land on the same graph node. A self-edge (re-acquiring a mutex already
@@ -55,50 +57,12 @@ type LockEdge struct {
 }
 
 func runLockOrder(pass *Pass) {
-	summaries := lockAcquireSummaries(pass)
+	sums := heldSummaries(pass.Prog)
 	var edges []LockEdge
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				edges = append(edges, lockOrderEdges(pass, name, body, summaries)...)
-			})
-		}
-	}
+	forEachHeldBody(pass, func(fnName string, _ *ast.BlockStmt, r *heldBody) {
+		edges = append(edges, lockOrderEdges(pass, fnName, r, sums)...)
+	})
 	pass.Prog.setLockEdges(pass.PkgPath, edges)
-}
-
-// lockOrderOp mirrors mutexOp with module-global keys: (key, method, ok)
-// when n is a statement-level Lock/RLock/Unlock/RUnlock on a sync mutex.
-func lockOrderOp(pass *Pass, n ast.Node, fnName string) (string, string, bool) {
-	var e ast.Expr
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		e = n.X
-	default:
-		return "", "", false
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	if !isSyncMutex(pass.TypesInfo.TypeOf(sel.X)) {
-		return "", "", false
-	}
-	return lockOrderKey(pass, sel.X, fnName), sel.Sel.Name, true
 }
 
 // lockOrderKey names a mutex so acquisition sites in different functions
@@ -110,13 +74,8 @@ func lockOrderKey(pass *Pass, recv ast.Expr, fnName string) string {
 	recv = ast.Unparen(recv)
 	switch e := recv.(type) {
 	case *ast.SelectorExpr:
-		if t := pass.TypesInfo.TypeOf(e.X); t != nil {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name
-			}
+		if obj := namedObj(pass.TypesInfo.TypeOf(e.X)); obj != nil && obj.Pkg() != nil {
+			return obj.Pkg().Path() + "." + obj.Name() + "." + e.Sel.Name
 		}
 	case *ast.Ident:
 		if obj := pass.TypesInfo.Uses[e]; obj != nil && obj.Pkg() != nil {
@@ -129,132 +88,55 @@ func lockOrderKey(pass *Pass, recv ast.Expr, fnName string) string {
 	return pass.PkgPath + ":" + types.ExprString(recv)
 }
 
-// lockOrderEdges runs the held-set dataflow over one body and returns
-// every acquisition-order edge it induces.
-func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries map[*types.Func][]string) []LockEdge {
-	if !bodyMentionsMutex(pass, body) {
-		return nil // no direct acquire here, so the held set stays empty
-	}
-	cfg := pass.Prog.CFG(body)
-	transfer := func(fact any, n ast.Node) any {
-		f := fact.(lockFact)
-		key, method, ok := lockOrderOp(pass, n, fnName)
-		if !ok {
-			return f
-		}
-		out := make(lockFact, len(f))
-		for k, v := range f {
-			out[k] = v
-		}
-		switch method {
-		case "Lock", "RLock":
-			out[key] = n.Pos()
-		case "Unlock", "RUnlock":
-			delete(out, key)
-		}
-		return out
-	}
-	in := cfg.Forward(FlowAnalysis{
-		Entry:    func() any { return lockFact{} },
-		Transfer: transfer,
-		Join:     lockFactJoin,
-		Equal:    lockFactEqual,
-	})
+// lockOrderEdges returns every acquisition-order edge one body induces:
+// each mutex locked, directly or one call level away, at a node reached
+// with other mutexes definitely held.
+func lockOrderEdges(pass *Pass, fnName string, r *heldBody, sums map[*types.Func]*heldSummary) []LockEdge {
 	var edges []LockEdge
 	seen := make(map[string]bool)
-	add := func(held lockFact, to string, pos token.Pos, via string) {
-		froms := make([]string, 0, len(held))
-		for from := range held {
-			froms = append(froms, from)
-		}
-		sort.Strings(froms)
+	add := func(held []heldMutex, to string, pos token.Pos, via string) {
+		froms := slices.Clone(held)
+		sort.SliceStable(froms, func(i, j int) bool { return froms[i].lock < froms[j].lock })
 		for _, from := range froms {
-			if via != "" && from == to {
+			if via != "" && from.lock == to {
 				continue // a helper re-entering the held mutex is lockcheck's report
 			}
 			p := pass.Fset.Position(pos)
-			k := from + "\x00" + to + "\x00" + p.Filename + "\x00" + fmt.Sprint(p.Line, p.Column)
+			k := from.lock + "\x00" + to + "\x00" + p.Filename + "\x00" + fmt.Sprint(p.Line, p.Column)
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
 			edges = append(edges, LockEdge{
-				From:    from,
+				From:    from.lock,
 				To:      to,
-				FromPos: pass.Fset.Position(held[from]),
+				FromPos: pass.Fset.Position(from.pos),
 				Pos:     p,
 				Via:     via,
 			})
 		}
 	}
-	for _, blk := range cfg.Blocks {
-		fact, ok := in[blk]
-		if !ok {
-			continue
-		}
-		f := fact.(lockFact)
-		for _, n := range blk.Nodes {
-			if len(f) > 0 {
-				if key, method, ok := lockOrderOp(pass, n, fnName); ok && (method == "Lock" || method == "RLock") {
-					add(f, key, n.Pos(), "")
-				}
-				held := f
-				ast.Inspect(n, func(m ast.Node) bool {
-					if _, ok := m.(*ast.FuncLit); ok {
-						return false // a literal's acquisitions happen when it runs
-					}
-					call, ok := m.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := StaticCallee(pass.TypesInfo, call)
-					if callee == nil {
-						return true
-					}
-					for _, to := range summaries[callee] {
-						add(held, to, call.Pos(), callee.Name())
-					}
-					return true
-				})
+	for _, ln := range r.locked {
+		if es, ok := ln.n.(*ast.ExprStmt); ok {
+			if op, ok := resCall(pass.TypesInfo, es.X); ok && op.class.kind == resMutex && op.acquire {
+				add(ln.held, lockOrderKey(pass, op.sel.X, fnName), ln.n.Pos(), "")
 			}
-			f = transfer(f, n).(lockFact)
 		}
+		ast.Inspect(ln.n, func(m ast.Node) bool {
+			if _, ok := m.(*ast.FuncLit); ok {
+				return false // a literal's acquisitions happen when it runs
+			}
+			if call, ok := m.(*ast.CallExpr); ok {
+				if callee := StaticCallee(pass.TypesInfo, call); callee != nil && sums[callee] != nil {
+					for _, to := range sums[callee].acquires {
+						add(ln.held, to, call.Pos(), callee.Name())
+					}
+				}
+			}
+			return true
+		})
 	}
 	return edges
-}
-
-// lockAcquireSummaries computes, once per Program, the global keys of
-// every mutex each module function's own body directly acquires — the
-// one call level the edge recorder reaches past the reporting function.
-func lockAcquireSummaries(pass *Pass) map[*types.Func][]string {
-	v := pass.Prog.Cache("lockorder.acquires", func() any {
-		out := make(map[*types.Func][]string)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			p := &Pass{TypesInfo: node.Pkg.Info, Pkg: node.Pkg.Types, PkgPath: node.Pkg.PkgPath}
-			name := node.Decl.Name.Name
-			seen := make(map[string]bool)
-			var keys []string
-			ast.Inspect(node.Decl.Body, func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
-				if key, method, ok := lockOrderOp(p, m, name); ok && (method == "Lock" || method == "RLock") && !seen[key] {
-					seen[key] = true
-					keys = append(keys, key)
-				}
-				return true
-			})
-			if len(keys) > 0 {
-				sort.Strings(keys)
-				out[node.Fn] = keys
-			}
-		}
-		return out
-	})
-	return v.(map[*types.Func][]string)
 }
 
 // LockOrderCycles detects cycles in the acquisition-order graph spanned
