@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository check: tier-1 build+test, race detector, vet, formatting
-# (simplify mode), domain static analysis (blklint), fuzz smoke, a
-# serve benchmark smoke, and a fleet bench smoke (scratch vs delta
+# (simplify mode), domain static analysis (blklint), fuzz smoke, serve
+# and engine benchmark smokes, and a fleet bench smoke (scratch vs delta
 # bit-identity).
 # See README.md "Testing & verification" and "Static analysis".
 set -e
@@ -103,6 +103,12 @@ go test -run='^$' -fuzz=FuzzRingOwner -fuzztime=5s ./internal/cluster
 # expected X-Cache value.
 echo "== serve benchmark smoke"
 go test -run '^$' -bench 'Serve(Hit|Miss)' -benchtime=1x ./internal/server
+
+# One iteration of each engine cost twin: the all-hit and no-cache runs
+# of a 60 s 4K60 session, and the chained segment keys of one request.
+# The warm twin fails if any of its runs misses a segment.
+echo "== engine benchmark smoke"
+go test -run '^$' -bench 'EngineRun(Warm|Cold)|SegmentKey' -benchtime=1x ./internal/session
 
 # The fleet bench asserts the scratch and delta arms produce identical
 # aggregates before reporting speedup, so this smoke doubles as an

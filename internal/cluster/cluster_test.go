@@ -286,6 +286,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsEverySegment: a snapshot of a node that has served
+// a session carries every segment value the run cached — none skipped
+// for an unregistered gob type — and a node warmed from it answers the
+// same session byte for byte without a single segment miss. Both nodes
+// run with the result cache off, so the warmed node's answer really is
+// recomposed from the imported segments.
+func TestSnapshotKeepsEverySegment(t *testing.T) {
+	req := wireRequest{"POST", "/v1/session", marshal(t, api.SessionRequest{
+		Scheme: "burstlink", Resolution: "QHD", Refresh: 60, FPS: 60, Seconds: 4,
+	})}
+	serve := func(node *server.Server) []byte {
+		t.Helper()
+		ts := httptest.NewServer(node.Handler())
+		defer ts.Close()
+		status, body, _ := replay(t, ts.URL, req)
+		if status != 200 {
+			t.Fatalf("status %d: %s", status, body)
+		}
+		return body
+	}
+
+	origin := server.New(server.Config{NodeID: "origin", DisableCache: true})
+	want := serve(origin)
+	var snapBytes bytes.Buffer
+	if err := origin.WriteSnapshot(&snapBytes); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cluster.DecodeSnapshot(bytes.NewReader(snapBytes.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.SegmentsSkipped != 0 {
+		t.Errorf("snapshot skipped %d segment values", snap.SegmentsSkipped)
+	}
+	if n := origin.Stats().SegmentEntries; len(snap.Segments) != n || n == 0 {
+		t.Errorf("snapshot carries %d segments, origin holds %d", len(snap.Segments), n)
+	}
+
+	warmed := server.New(server.Config{NodeID: "warmed", DisableCache: true})
+	if _, err := warmed.Warm(bytes.NewReader(snapBytes.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := serve(warmed); !bytes.Equal(got, want) {
+		t.Errorf("warmed node answered %s, origin %s", got, want)
+	}
+	if st := warmed.Stats(); st.SegmentMisses != 0 || st.SegmentHits == 0 {
+		t.Errorf("warmed node: %d segment misses, %d hits; want 0 misses", st.SegmentMisses, st.SegmentHits)
+	}
+}
+
 // nodeStats fetches one backend's /v1/stats document.
 func nodeStats(t *testing.T, base string) api.Stats {
 	t.Helper()

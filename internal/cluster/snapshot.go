@@ -68,14 +68,16 @@ type Snapshot struct {
 
 // The segment cache's value types cross the gob boundary as interface
 // values, which requires registering every concrete type a session run
-// can cache: jitter-buffer delivery stats, period timelines, and
-// per-period power evaluations. Types missing from this list (e.g. the
+// can cache: jitter-buffer delivery stats, period timelines, per-period
+// power evaluations and their extensions to a session length (a
+// power.Result). Types missing from this list (e.g. the
 // functional pipeline's synthetic codec streams, which never flow
 // through blkd) are filtered at encode time, not failed on.
 func init() {
 	gob.Register(stream.Stats{})
 	gob.Register(trace.Timeline{})
 	gob.Register(power.PeriodEval{})
+	gob.Register(power.Result{})
 }
 
 // filterSegments drops entries whose values gob cannot encode, returning

@@ -15,7 +15,7 @@ import (
 func Session() (Table, error) {
 	e := newEnv()
 	cfg := session.Config{Scenario: pipeline.Planar(units.R4K, 60, 60), Seconds: 30}
-	eng := session.Engine{P: e.p, M: e.m, Memo: e.memo}
+	eng := session.NewEngine(e.p, e.m, e.memo)
 	results, err := eng.Compare(cfg)
 	if err != nil {
 		return Table{}, err

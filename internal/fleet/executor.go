@@ -135,6 +135,15 @@ func Run(ctx context.Context, pop Population, snk sink.Sink, opts Options) (Outc
 		ids[i] = id
 	}
 
+	// One engine per device class, fingerprinting the class's platform
+	// and the model once for all of its devices.
+	engines := make(map[string]session.Engine, len(pop.Classes))
+	for _, c := range pop.Classes {
+		eng := session.NewEngine(c.Platform(opts.Platform), opts.Model, opts.Memo)
+		eng.Scratch = opts.Scratch
+		engines[c.Name] = eng
+	}
+
 	// Phase 2: simulate unique configurations on the par pool. Progress
 	// counts devices (multiplicity included), not configurations, so the
 	// stream reflects population coverage.
@@ -148,7 +157,7 @@ func Run(ctx context.Context, pop Population, snk sink.Sink, opts Options) (Outc
 		if err := ctx.Err(); err != nil {
 			return simResult{err: err}
 		}
-		res, err := pop.runDevice(uniques[u], opts)
+		res, err := pop.runDevice(uniques[u], engines[uniques[u].Class.Name])
 		if opts.Progress != nil {
 			n := int(done.Add(int64(mult[u])))
 			progressMu.Lock()
@@ -184,13 +193,7 @@ func Run(ctx context.Context, pop Population, snk sink.Sink, opts Options) (Outc
 // session's average power prices the segment's hours. The fold order is
 // the device's canonical segment order, so identical configurations
 // produce identical floats.
-func (p Population) runDevice(d Device, opts Options) (deviceResult, error) {
-	eng := session.Engine{
-		P:       d.Class.Platform(opts.Platform),
-		M:       opts.Model,
-		Memo:    opts.Memo,
-		Scratch: opts.Scratch,
-	}
+func (p Population) runDevice(d Device, eng session.Engine) (deviceResult, error) {
 	var eBase, eArm, hours float64 // mWh at the day scale
 	for _, seg := range d.Segments {
 		cfg := session.Config{

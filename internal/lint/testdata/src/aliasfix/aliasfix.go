@@ -58,6 +58,13 @@ func MemoParam(c *memo.Cache, in segInput, buf []byte) ([]byte, error) {
 	})
 }
 
+// MemoKeyParam is MemoParam through the chained-key form.
+func MemoKeyParam(c *memo.Cache, key string, buf []byte) ([]byte, error) {
+	return memo.DoKey(c, key, func() ([]byte, error) {
+		return buf, nil // want "returns memory aliasing buf"
+	})
+}
+
 // MemoFresh's compute closure returns owned memory: clean.
 func MemoFresh(c *memo.Cache, in segInput) ([]byte, error) {
 	return memo.Do(c, "seg", in, func() ([]byte, error) {

@@ -60,6 +60,12 @@ func Do[T any](c *Cache, segment string, in Keyer, compute func() (T, error)) (T
 	return compute()
 }
 
+// DoKey runs compute directly; the real DoKey memoizes it under a key
+// the caller already holds.
+func DoKey[T any](c *Cache, key string, compute func() (T, error)) (T, error) {
+	return compute()
+}
+
 // Group is the cache-plus-coalescing stub: Do computes directly; the
 // real Do serves hits from its LRU, so the value-flow layer treats its
 // first result as cache-resident memory.

@@ -1,7 +1,8 @@
 // Package memofix exercises memokeycheck: an AppendKey method that
-// skips a receiver field fires; exhaustive writers, nested selectors,
-// loops over map fields, pointer receivers, whole-receiver escapes, and
-// non-KeyWriter AppendKey signatures do not.
+// skips a receiver field fires, a chained input's upstream-key field
+// included; exhaustive writers, nested selectors, loops over map
+// fields, pointer receivers, whole-receiver escapes, and non-KeyWriter
+// AppendKey signatures do not.
 package memofix
 
 import (
@@ -60,6 +61,29 @@ func (e exhaustive) AppendKey(w *memo.KeyWriter) {
 		w.Float("v", v)
 	}
 	w.Bool("burst", e.Burst)
+}
+
+// chainedForgetful is a chained segment input: Upstream holds the key
+// of the segment it consumes, standing in for that segment's whole
+// input. Leaving it unwritten keys every upstream value alike.
+type chainedForgetful struct {
+	Upstream string
+	N        int
+}
+
+func (c chainedForgetful) AppendKey(w *memo.KeyWriter) { // want "AppendKey on chainedForgetful never writes Upstream"
+	w.Int("n", int64(c.N))
+}
+
+// chained is its twin that writes the upstream key: clean.
+type chained struct {
+	Upstream string
+	N        int
+}
+
+func (c chained) AppendKey(w *memo.KeyWriter) {
+	w.String("upstream", c.Upstream)
+	w.Int("n", int64(c.N))
 }
 
 // ptrRecv checks the pointer-receiver path.

@@ -53,6 +53,14 @@ func Rand(c *memo.Cache) (int, error) {
 	})
 }
 
+// ChainedClock's compute, handed to the chained-key form, reads the
+// wall clock.
+func ChainedClock(c *memo.Cache, key string) (int64, error) {
+	return memo.DoKey(c, key, func() (int64, error) {
+		return time.Now().UnixNano(), nil // want "calls time.Now"
+	})
+}
+
 // env reads the process environment; its impurity summary taints every
 // memoized caller one level up.
 func env() string { return os.Getenv("HOME") }

@@ -623,10 +623,11 @@ func pkgPathIs(path, base string) bool {
 }
 
 // borrowSource recognizes calls whose first result aliases long-lived
-// cache-resident memory: memo.Do, the memo.Group.Do method (blkd's
-// result tier), Get methods on internal/cache and internal/memo types,
-// and sink column accessors. Returns a short description for
-// diagnostics; only memo.Do gets "memo.Do" (see isMemoDoCall).
+// cache-resident memory: memo.Do and its chained-key twin memo.DoKey,
+// the memo.Group.Do method (blkd's result tier), Get methods on
+// internal/cache and internal/memo types, and sink column accessors.
+// Returns a short description for diagnostics; only memo.Do and
+// memo.DoKey get "memo.Do" (see isMemoDoCall).
 func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fun := ast.Unparen(call.Fun)
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation Do[T]
@@ -634,10 +635,8 @@ func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	switch x := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[x].(*types.Func); ok && f.Pkg() != nil {
-			if f.Name() == "Do" && pkgPathIs(f.Pkg().Path(), "memo") {
-				return "memo.Do", true
-			}
+		if isMemoDoFunc(info.Uses[x]) {
+			return "memo.Do", true
 		}
 	case *ast.SelectorExpr:
 		if s, ok := info.Selections[x]; ok {
@@ -656,17 +655,22 @@ func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 			}
 			return "", false
 		}
-		if f, ok := info.Uses[x.Sel].(*types.Func); ok && f.Pkg() != nil {
-			if f.Name() == "Do" && pkgPathIs(f.Pkg().Path(), "memo") {
-				return "memo.Do", true
-			}
+		if isMemoDoFunc(info.Uses[x.Sel]) {
+			return "memo.Do", true
 		}
 	}
 	return "", false
 }
 
-// isMemoDoCall reports whether call is memo.Do (whose last argument is
-// the memoized compute function).
+// isMemoDoFunc reports whether obj is the package-level memo.Do or
+// memo.DoKey, whose last argument is the memoized compute function.
+func isMemoDoFunc(obj types.Object) bool {
+	f, ok := obj.(*types.Func)
+	return ok && f.Pkg() != nil && (f.Name() == "Do" || f.Name() == "DoKey") && pkgPathIs(f.Pkg().Path(), "memo")
+}
+
+// isMemoDoCall reports whether call is memo.Do or memo.DoKey (whose
+// last argument is the memoized compute function).
 func isMemoDoCall(info *types.Info, call *ast.CallExpr) bool {
 	desc, ok := borrowSource(info, call)
 	return ok && desc == "memo.Do"

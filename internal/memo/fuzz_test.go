@@ -7,6 +7,7 @@ import (
 
 	"burstlink/internal/memo"
 	"burstlink/internal/pipeline"
+	"burstlink/internal/power"
 	"burstlink/internal/soc"
 	"burstlink/internal/trace"
 	"burstlink/internal/units"
@@ -15,13 +16,16 @@ import (
 // FuzzSegmentKey fuzzes the canonicalization contract the segment cache
 // stands on, over a real segment input (trace.Phase, the leaf of every
 // timeline key): two structs built from the same values key identically,
-// and mutating any single field changes the key. A violation of the
+// and mutating any single field changes the key. It then checks the
+// chained power keys built on top: distinct upstream keys or distinct
+// repetition counts never share a downstream key. A violation of the
 // first half makes the cache useless (spurious misses); a violation of
 // the second half is a stale-cache correctness bug.
 func FuzzSegmentKey(f *testing.F) {
 	f.Add(int8(0), int64(16_666_666), uint64(1<<20), uint64(2<<20), true, false, 1.5, "blit", uint8(0))
 	f.Add(int8(3), int64(0), uint64(0), uint64(0), false, true, 0.0, "", uint8(4))
 	f.Add(int8(-1), int64(-5), uint64(1), uint64(1), true, true, math.Inf(1), "x", uint8(7))
+	model := power.Default().Fingerprint()
 	f.Fuzz(func(t *testing.T, state int8, dur int64, read, write uint64, burst, gpu bool, boost float64, label string, mut uint8) {
 		mk := func(p trace.Phase) string { return memo.KeyOf("phase", p) }
 		p := trace.Phase{
@@ -87,6 +91,32 @@ func FuzzSegmentKey(f *testing.F) {
 		tl3 := trace.Timeline{Phases: []trace.Phase{p, q, p}}
 		if memo.KeyOf("tl", tl1) == memo.KeyOf("tl", tl3) {
 			t.Fatal("phase count not keyed")
+		}
+
+		// The chained form: a downstream key embeds its upstream's key
+		// in place of the upstream content, so distinct upstream keys,
+		// and distinct repetition counts, must give distinct
+		// downstream keys, and equal ones equal keys.
+		load := power.Load{Demand: boost, PanelRatio: float64(dur)}
+		up1, up2 := mk(p), mk(q)
+		pk1 := power.PeriodKey(up1, load, model)
+		if pk1 != power.PeriodKey(up1, load, model) {
+			t.Fatal("equal chained inputs keyed differently")
+		}
+		pk2 := power.PeriodKey(up2, load, model)
+		if pk1 == pk2 {
+			t.Fatal("distinct upstream timeline keys gave one period key")
+		}
+		n := int(int64(read))
+		xk := power.ExtendKey(pk1, n)
+		if xk != power.ExtendKey(pk1, n) {
+			t.Fatal("equal extension inputs keyed differently")
+		}
+		if xk == power.ExtendKey(pk2, n) {
+			t.Fatal("distinct upstream period keys gave one extension key")
+		}
+		if xk == power.ExtendKey(pk1, n+1) {
+			t.Fatalf("repetition counts %d and %d gave one extension key", n, n+1)
 		}
 	})
 }

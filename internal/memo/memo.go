@@ -13,7 +13,10 @@
 // name, every variable-length value length-prefixed, so no two distinct
 // field sequences collide), the SHA-256 of that string keys the segment
 // cache, and a sweep that changes one knob recomputes only the segments
-// the knob invalidates.
+// the knob invalidates. Keys chain: a segment that consumes another's
+// output carries that segment's key in its input instead of the output
+// itself (Key computes a key once, DoKey runs a segment under it), so a
+// downstream key costs the same however large its upstream value is.
 //
 // Group, the package's cache-plus-coalescing primitive, layers
 // internal/cache's LRU under singleflight-style coalescing: concurrent
@@ -41,7 +44,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,14 +63,24 @@ type Keyer interface {
 	AppendKey(w *KeyWriter)
 }
 
-// KeyWriter accumulates the canonical byte form of a segment input.
-// Every append is tagged with a field name and a type marker, and every
-// variable-length payload is length-prefixed, so distinct append
-// sequences produce distinct byte strings — the property the key's
-// collision resistance stands on.
+// KeyWriter streams the canonical byte form of a segment input into a
+// SHA-256 state. Every append is tagged with a field name and a type
+// marker, and every variable-length payload is length-prefixed, so
+// distinct append sequences produce distinct byte strings — the
+// property the key's collision resistance stands on. Appends collect in
+// a fixed buffer that is flushed into the hash when full, so keying an
+// input allocates nothing per field. The zero value is ready to use.
 type KeyWriter struct {
-	buf []byte
+	h   hash.Hash
+	n   int
+	buf [256]byte
+	sum [sha256.Size]byte
+	hex [2 * sha256.Size]byte
 }
+
+// writers recycles KeyWriters (hash state and buffers) across KeyOf
+// calls.
+var writers = sync.Pool{New: func() any { return new(KeyWriter) }}
 
 // Type markers, one per append kind, so e.g. Int(x, 1) and Uint(x, 1)
 // cannot alias.
@@ -80,23 +95,72 @@ const (
 	kindEnd    = 'e'
 )
 
+// flush moves the buffered bytes into the hash state.
+func (w *KeyWriter) flush() {
+	if w.h == nil {
+		w.h = sha256.New()
+	}
+	// A hash.Hash's Write never returns an error.
+	_, _ = w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// room makes at least n bytes of buffer free (n <= len(buf)).
+func (w *KeyWriter) room(n int) {
+	if len(w.buf)-w.n < n {
+		w.flush()
+	}
+}
+
+// writeString appends s, flushing as often as the buffer fills.
+func (w *KeyWriter) writeString(s string) {
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// writeUvarint appends v in unsigned varint form.
+func (w *KeyWriter) writeUvarint(v uint64) {
+	w.room(binary.MaxVarintLen64)
+	w.n += binary.PutUvarint(w.buf[w.n:], v)
+}
+
+// writeUint64 appends v as 8 big-endian bytes.
+func (w *KeyWriter) writeUint64(v uint64) {
+	w.room(8)
+	binary.BigEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+// writeByte appends one byte.
+func (w *KeyWriter) writeByte(b byte) {
+	w.room(1)
+	w.buf[w.n] = b
+	w.n++
+}
+
 // tag writes the field header: length-prefixed name plus a type marker.
 func (w *KeyWriter) tag(name string, kind byte) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(name)))
-	w.buf = append(w.buf, name...)
-	w.buf = append(w.buf, kind)
+	w.writeUvarint(uint64(len(name)))
+	w.writeString(name)
+	w.writeByte(kind)
 }
 
 // Int appends a signed integer field.
 func (w *KeyWriter) Int(name string, v int64) {
 	w.tag(name, kindInt)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(v))
+	w.writeUint64(uint64(v))
 }
 
 // Uint appends an unsigned integer field.
 func (w *KeyWriter) Uint(name string, v uint64) {
 	w.tag(name, kindUint)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	w.writeUint64(v)
 }
 
 // Float appends a float field at full bit precision: keys distinguish
@@ -104,31 +168,32 @@ func (w *KeyWriter) Uint(name string, v uint64) {
 // do.
 func (w *KeyWriter) Float(name string, v float64) {
 	w.tag(name, kindFloat)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
+	w.writeUint64(math.Float64bits(v))
 }
 
 // Bool appends a boolean field.
 func (w *KeyWriter) Bool(name string, v bool) {
 	w.tag(name, kindBool)
 	if v {
-		w.buf = append(w.buf, 1)
+		w.writeByte(1)
 	} else {
-		w.buf = append(w.buf, 0)
+		w.writeByte(0)
 	}
 }
 
-// String appends a string field, length-prefixed.
+// String appends a string field, length-prefixed. An upstream
+// segment's key enters a chained downstream key this way.
 func (w *KeyWriter) String(name string, v string) {
 	w.tag(name, kindString)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(v)))
-	w.buf = append(w.buf, v...)
+	w.writeUvarint(uint64(len(v)))
+	w.writeString(v)
 }
 
 // Bytes appends a raw byte field, length-prefixed.
 func (w *KeyWriter) Bytes(name string, v []byte) {
 	w.tag(name, kindBytes)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(v)))
-	w.buf = append(w.buf, v...)
+	w.writeUvarint(uint64(len(v)))
+	w.writeString(string(v))
 }
 
 // Duration appends a time.Duration field.
@@ -145,17 +210,31 @@ func (w *KeyWriter) Sub(name string, k Keyer) {
 }
 
 // Sum returns the canonical cache key: the segment name (kept readable
-// for stats and debugging) plus the SHA-256 of the accumulated bytes.
+// for stats and debugging), a colon, and the hex SHA-256 of the
+// accumulated bytes.
 func (w *KeyWriter) Sum(segment string) string {
-	sum := sha256.Sum256(w.buf)
-	return segment + ":" + hex.EncodeToString(sum[:])
+	w.flush()
+	w.h.Sum(w.sum[:0])
+	hex.Encode(w.hex[:], w.sum[:])
+	var b strings.Builder
+	b.Grow(len(segment) + 1 + len(w.hex))
+	b.WriteString(segment)
+	b.WriteByte(':')
+	b.Write(w.hex[:])
+	return b.String()
 }
 
 // KeyOf renders k's canonical key under the given segment name.
 func KeyOf(segment string, k Keyer) string {
-	var w KeyWriter
-	k.AppendKey(&w)
-	return w.Sum(segment)
+	w := writers.Get().(*KeyWriter)
+	if w.h != nil {
+		w.h.Reset()
+	}
+	w.n = 0
+	k.AppendKey(w)
+	key := w.Sum(segment)
+	writers.Put(w)
+	return key
 }
 
 // Stats snapshots a Group's counters: the LRU's hit/miss/eviction
@@ -286,6 +365,16 @@ type Cache = Group[any]
 // so callers need no separate "memo off" path.
 func NewCache(capacity int) *Cache { return NewGroup[any](capacity) }
 
+// Key returns in's canonical key under segment, or "" when c is nil or
+// disabled: scratch mode computes every segment directly and never
+// looks a key up, so it never pays for one either.
+func Key(c *Cache, segment string, in Keyer) string {
+	if !c.Enabled() {
+		return ""
+	}
+	return KeyOf(segment, in)
+}
+
 // Do returns the segment output for input in, computing it at most once
 // per cache residency: a hit returns the cached value, concurrent
 // misses coalesce onto one execution, and a nil or disabled cache
@@ -302,17 +391,25 @@ func NewCache(capacity int) *Cache { return NewGroup[any](capacity) }
 // runs on every enabled-cache return, including the miss that inserted
 // the value, because the inserting caller aliases the cache too.
 func Do[T any](c *Cache, segment string, in Keyer, compute func() (T, error)) (T, error) {
+	return DoKey(c, Key(c, segment, in), compute)
+}
+
+// DoKey is Do under a key the caller already holds, as returned by Key.
+// It is the chained form: a downstream segment's input carries its
+// upstream segment's key in place of the upstream content, so a request
+// computes each key once and a downstream key costs the same however
+// large the upstream value is.
+func DoKey[T any](c *Cache, key string, compute func() (T, error)) (T, error) {
 	if !c.Enabled() {
 		return compute()
 	}
-	v, _, err := c.Do(context.Background(), KeyOf(segment, in), func() (any, error) { return compute() })
+	v, _, err := c.Do(context.Background(), key, func() (any, error) { return compute() })
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	out := v.(T)
-	if cl, ok := any(out).(interface{ Clone() T }); ok {
+	if cl, ok := v.(interface{ Clone() T }); ok {
 		return cl.Clone(), nil
 	}
-	return out, nil
+	return v.(T), nil
 }

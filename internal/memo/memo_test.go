@@ -1,8 +1,14 @@
 package memo
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,6 +174,59 @@ func TestKeyWriterUnambiguous(t *testing.T) {
 	// Segment names partition the keyspace even for identical bytes.
 	if KeyOf("seg1", pair{1, 2}) == KeyOf("seg2", pair{1, 2}) {
 		t.Fatal("segment name not part of key")
+	}
+}
+
+// longInput writes fields whose payloads straddle and exceed the
+// writer's buffer.
+type longInput struct {
+	Name  string
+	Blob  []byte
+	Inner pair
+}
+
+func (l longInput) AppendKey(w *KeyWriter) {
+	w.String("name", l.Name)
+	w.Bytes("blob", l.Blob)
+	w.Sub("inner", l.Inner)
+	w.Float("f", 1.5)
+	w.Bool("b", true)
+	w.Uint("u", 1<<40)
+}
+
+// TestKeyWriterStreamsCanonicalBytes: the streamed key is the SHA-256 of
+// the canonical byte string, spelled out here byte by byte, whatever
+// the payload sizes relative to the writer's buffer — and a pooled
+// writer carries nothing over from the key before.
+func TestKeyWriterStreamsCanonicalBytes(t *testing.T) {
+	field := func(b []byte, name string, kind byte) []byte {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		return append(append(b, name...), kind)
+	}
+	u64 := func(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+	for _, n := range []int{0, 1, 200, 255, 256, 257, 1000, 5000} {
+		in := longInput{Name: strings.Repeat("n", n), Blob: bytes.Repeat([]byte{0xab}, n/2+3), Inner: pair{int64(n), -1}}
+		var b []byte
+		b = field(b, "name", kindString)
+		b = binary.AppendUvarint(b, uint64(len(in.Name)))
+		b = append(b, in.Name...)
+		b = field(b, "blob", kindBytes)
+		b = binary.AppendUvarint(b, uint64(len(in.Blob)))
+		b = append(b, in.Blob...)
+		b = field(b, "inner", kindSub)
+		b = u64(field(b, "a", kindInt), uint64(in.Inner.A))
+		b = u64(field(b, "b", kindInt), uint64(in.Inner.B))
+		b = field(b, "inner", kindEnd)
+		b = u64(field(b, "f", kindFloat), math.Float64bits(1.5))
+		b = append(field(b, "b", kindBool), 1)
+		b = u64(field(b, "u", kindUint), 1<<40)
+		sum := sha256.Sum256(b)
+		want := "seg:" + hex.EncodeToString(sum[:])
+		for pass := 0; pass < 2; pass++ {
+			if got := KeyOf("seg", in); got != want {
+				t.Fatalf("payload %d pass %d: key %s, want %s", n, pass, got, want)
+			}
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"burstlink/internal/units"
 )
 
-// This file is the power-integration segment of the delta-simulation
-// core (DESIGN.md §4.9). A session timeline is one period repeated
+// This file holds the two power segments of the delta-simulation core
+// (DESIGN.md §4.9). A session timeline is one period repeated
 // frames times, so evaluating it phase by phase does frames×k identical
 // PhasePower compositions over a frames×k-phase slice that exists only
 // to be folded. PeriodEval precomputes everything the fold needs from
@@ -20,10 +20,12 @@ import (
 // ExtendPeriod replays the fold over the precomputed energies in the
 // exact order Evaluate(tl.Repeat(n)) would have summed them. The result
 // is bit-identical to the full expansion (repeat_test.go pins ==) with
-// no timeline materialization and no per-phase model composition, and
-// PeriodEval is the memoizable unit: it depends on (timeline, load,
+// no timeline materialization and no per-phase model composition.
+// PeriodEval is the power-period segment: it depends on (timeline, load,
 // model) but not on the repetition count, so every sweep cell that
-// varies only seconds or bitrate reuses it.
+// varies only seconds or bitrate reuses it. The fold itself is still
+// O(n·k), so it is memoized too, as the power-extend segment keyed on
+// (period key, n): a cell that repeats a cached length does no fold.
 
 // PeriodEval is the precomputed per-period power evaluation: the
 // memoized output of the power-integration segment. Values are
@@ -42,21 +44,55 @@ type PeriodEval struct {
 	FirstEntries, RestEntries map[soc.PackageCState]int
 }
 
-// periodKey is the canonical input of the power-integration segment:
-// the timeline content (not the scheme that generated it), the load,
-// and the model.
+// periodKey is the canonical input of the power-period segment. The
+// timeline and the model enter by key, not content: Timeline is the key
+// of the segment that produced the timeline (session.Engine's timeline
+// segment) or, for a caller with no upstream segment, the timeline's
+// content key — one key form either way; Model is the model's
+// Fingerprint.
 type periodKey struct {
-	Timeline trace.Timeline
+	Timeline string
 	Load     Load
-	Model    Model
+	Model    string
 }
 
 // AppendKey renders the segment input into its canonical key.
 func (k periodKey) AppendKey(w *memo.KeyWriter) {
-	w.Sub("timeline", k.Timeline)
+	w.String("timeline", k.Timeline)
 	w.Sub("load", k.Load)
-	w.Sub("model", k.Model)
+	w.String("model", k.Model)
 }
+
+// extendKey is the canonical input of the power-extend segment: the key
+// of the period evaluation it folds and the repetition count.
+type extendKey struct {
+	Period string
+	N      int
+}
+
+// AppendKey renders the segment input into its canonical key.
+func (k extendKey) AppendKey(w *memo.KeyWriter) {
+	w.String("period", k.Period)
+	w.Int("n", int64(k.N))
+}
+
+// PeriodKey is the power-period segment key of the timeline keyed
+// timelineKey, under the load, priced by the model whose Fingerprint is
+// modelKey.
+func PeriodKey(timelineKey string, load Load, modelKey string) string {
+	return memo.KeyOf("power-period", periodKey{Timeline: timelineKey, Load: load, Model: modelKey})
+}
+
+// ExtendKey is the power-extend segment key of the period evaluation
+// keyed periodKey folded over n repetitions.
+func ExtendKey(periodKey string, n int) string {
+	return memo.KeyOf("power-extend", extendKey{Period: periodKey, N: n})
+}
+
+// Fingerprint is the model's canonical key, the form every power
+// segment key embeds. It walks and sorts every map of the model, so a
+// caller that keys many segments under one model computes it once.
+func (m Model) Fingerprint() string { return memo.KeyOf("model", m) }
 
 // AppendKey renders the load into a canonical segment key.
 func (l Load) AppendKey(w *memo.KeyWriter) {
@@ -179,12 +215,21 @@ func (m Model) EvaluateRepeated(tl trace.Timeline, n int, load Load) Result {
 // EvaluatePeriodMemo is EvaluatePeriod through the segment cache: the
 // evaluation is keyed by (timeline content, load, model), so any two
 // callers that price the same period share one computation. A nil or
-// disabled cache computes directly. The compute cannot fail, so the only
-// error is memo.ErrComputePanicked on a caller that coalesced onto a
-// panicking evaluation; it panics too rather than return a zero result.
+// disabled cache computes directly.
 func (m Model) EvaluatePeriodMemo(c *memo.Cache, tl trace.Timeline, load Load) PeriodEval {
-	pe, err := memo.Do(c, "power-period", periodKey{Timeline: tl, Load: load, Model: m},
-		func() (PeriodEval, error) { return m.EvaluatePeriod(tl, load), nil })
+	var key string
+	if c.Enabled() {
+		key = PeriodKey(memo.KeyOf("timeline-content", tl), load, m.Fingerprint())
+	}
+	return m.periodMemo(c, key, tl, load)
+}
+
+// periodMemo runs the power-period segment under its key. The compute
+// cannot fail, so the only error is memo.ErrComputePanicked on a caller
+// that coalesced onto a panicking evaluation; it panics too rather than
+// return a zero result.
+func (m Model) periodMemo(c *memo.Cache, key string, tl trace.Timeline, load Load) PeriodEval {
+	pe, err := memo.DoKey(c, key, func() (PeriodEval, error) { return m.EvaluatePeriod(tl, load), nil })
 	if err != nil {
 		panic(err)
 	}
@@ -195,4 +240,28 @@ func (m Model) EvaluatePeriodMemo(c *memo.Cache, tl trace.Timeline, load Load) P
 // form the experiment drivers use. Bit-identical to Evaluate(tl, load).
 func (m Model) EvaluateMemo(c *memo.Cache, tl trace.Timeline, load Load) Result {
 	return m.ExtendPeriod(m.EvaluatePeriodMemo(c, tl, load), 1)
+}
+
+// ExtendMemo is ExtendPeriod(EvaluatePeriod(tl, load), n) through two
+// chained segments: power-period, keyed by (timelineKey, load,
+// modelKey), and power-extend, keyed by (period key, n). timelineKey is
+// the key tl was cached under and modelKey is m.Fingerprint(); both
+// are ignored when c is nil or disabled. A power-extend hit costs two
+// small key hashes and one lookup, whatever n is: no O(n) fold and no
+// period evaluation. On a miss the period evaluation is looked up in
+// turn, so a change of n alone refolds a cached period. Bit-identical
+// to Evaluate(tl.Repeat(n), load).
+func (m Model) ExtendMemo(c *memo.Cache, modelKey, timelineKey string, tl trace.Timeline, load Load, n int) Result {
+	var pk, xk string
+	if c.Enabled() {
+		pk = PeriodKey(timelineKey, load, modelKey)
+		xk = ExtendKey(pk, n)
+	}
+	res, err := memo.DoKey(c, xk, func() (Result, error) {
+		return m.ExtendPeriod(m.periodMemo(c, pk, tl, load), n), nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

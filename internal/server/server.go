@@ -153,11 +153,13 @@ func New(cfg Config) *Server {
 		segEntries = 0
 	}
 	p, m := pipeline.DefaultPlatform(), power.Default()
+	eng := session.NewEngine(p, m, memo.NewCache(segEntries))
+	eng.Scratch = cfg.DisableDelta
 	s := &Server{
 		cfg:     cfg,
 		p:       p,
 		m:       m,
-		eng:     session.Engine{P: p, M: m, Memo: memo.NewCache(segEntries), Scratch: cfg.DisableDelta},
+		eng:     eng,
 		results: memo.NewGroup[[]byte](entries),
 		gate:    par.NewGate(cfg.MaxConcurrent),
 		mux:     http.NewServeMux(),

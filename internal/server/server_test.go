@@ -278,9 +278,12 @@ func TestHealthAndStats(t *testing.T) {
 
 // TestCoalescingHTTP drives coalescing end to end: with the cache off,
 // concurrent identical requests can only avoid recomputation by
-// attaching to the in-flight leader.
+// attaching to the in-flight leader. The scratch engine keeps the
+// leader's computation long enough (milliseconds, not the delta
+// engine's tens of microseconds) for the followers to arrive while it
+// runs.
 func TestCoalescingHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableCache: true, MaxConcurrent: 16})
+	s, ts := newTestServer(t, Config{DisableCache: true, DisableDelta: true, MaxConcurrent: 16})
 	req := testRequest()
 	req.Seconds = 120
 	defer par.SetWorkers(par.SetWorkers(8))

@@ -13,17 +13,27 @@ import (
 )
 
 // Engine is the delta-simulation session runner (DESIGN.md §4.9). It
-// decomposes Run into three named segments — buffer delivery, period
-// timeline generation, and power integration — each keyed by an
-// explicit canonical input struct and memoized through a shared segment
-// cache. A sweep that moves one knob recomputes only the segments that
-// knob invalidates: changing bitrate reuses the timeline and power
-// segments, changing seconds reuses all three (ExtendPeriod re-folds
-// the cached per-period evaluation), changing the scheme reuses the
-// buffer segment. Results are bit-identical to the scratch path — the
-// segments recompose the exact float folds Run has always performed —
-// so memoization is invisible on the wire (the server's determinism
-// test pins this).
+// decomposes Run into four named segments — buffer delivery, period
+// timeline, period power evaluation and its extension to the session
+// length — each keyed by an explicit canonical input struct and
+// memoized through a shared segment cache. Keys are chained: the power
+// segments are keyed by the timeline segment's key, not the timeline
+// content, so a request whose segments are cached hashes four small
+// inputs and does no work that grows with the session length. A sweep
+// that moves one knob recomputes only the segments that knob
+// invalidates: changing bitrate recomputes the buffer alone, changing
+// seconds recomputes the buffer and the extension (which refolds the
+// cached period evaluation), changing the scheme reuses the buffer.
+// Results are bit-identical to the scratch path — the segments
+// recompose the exact float folds Run has always performed — so
+// memoization is invisible on the wire (the server's determinism test
+// pins this).
+//
+// Build an Engine with NewEngine, which fingerprints P and M once. P and
+// M are read-only from then on: every segment key embeds those
+// fingerprints, so a later write to either would be served segments
+// computed under the old values. An Engine written as a literal works
+// too and fingerprints P and M on every Run.
 type Engine struct {
 	P pipeline.Platform
 	M power.Model
@@ -37,6 +47,32 @@ type Engine struct {
 	// its results are bit-identical to the delta path (pinned by
 	// engine_test.go and power/repeat_test.go).
 	Scratch bool
+
+	// platformKey and modelKey are the fingerprints of P and M, set by
+	// NewEngine; empty means "compute per Run".
+	platformKey, modelKey string
+}
+
+// NewEngine returns an Engine over p and m that memoizes segments in c,
+// with the fingerprints of p and m computed once, here.
+func NewEngine(p pipeline.Platform, m power.Model, c *memo.Cache) Engine {
+	return Engine{P: p, M: m, Memo: c, platformKey: memo.KeyOf("platform", p), modelKey: m.Fingerprint()}
+}
+
+// fingerprints returns the keys of P and M for a run under c: the ones
+// NewEngine computed, or fresh ones; none when c is disabled.
+func (e Engine) fingerprints(c *memo.Cache) (platformKey, modelKey string) {
+	if !c.Enabled() {
+		return "", ""
+	}
+	platformKey, modelKey = e.platformKey, e.modelKey
+	if platformKey == "" {
+		platformKey = memo.KeyOf("platform", e.P)
+	}
+	if modelKey == "" {
+		modelKey = e.M.Fingerprint()
+	}
+	return platformKey, modelKey
 }
 
 // bufferInput is the canonical input of the buffer-delivery segment.
@@ -70,19 +106,19 @@ func (b bufferInput) AppendKey(w *memo.KeyWriter) {
 }
 
 // timelineInput is the canonical input of the period-timeline segment:
-// the scheme picks the scheduler, the scenario and platform parameterize
-// it.
+// the scheme picks the scheduler, the scenario and the platform (by its
+// fingerprint) parameterize it.
 type timelineInput struct {
 	Scheme   Scheme
 	Scenario pipeline.Scenario
-	Platform pipeline.Platform
+	Platform string
 }
 
 // AppendKey renders the segment input into its canonical key.
 func (t timelineInput) AppendKey(w *memo.KeyWriter) {
 	w.Int("scheme", int64(t.Scheme))
 	w.Sub("scenario", t.Scenario)
-	w.Sub("platform", t.Platform)
+	w.String("platform", t.Platform)
 }
 
 // jitterCapacity is the fixed jitter-buffer size sessions play through.
@@ -106,12 +142,9 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 		prebuf = int(s.FPS)
 	}
 	netFrame := units.ByteSize(float64(bitrate) / 8 / float64(s.FPS))
-	run := func(network stream.BandwidthTrace) (stream.Stats, error) {
-		buf := stream.NewJitterBuffer(jitterCapacity)
-		return stream.SimulateStreaming(stream.NewSource(network), buf, netFrame, frames, s.FPS, prebuf)
-	}
 	if cfg.Network != nil {
-		return run(cfg.Network)
+		buf := stream.NewJitterBuffer(jitterCapacity)
+		return stream.SimulateStreaming(stream.NewSource(cfg.Network), buf, netFrame, frames, s.FPS, prebuf)
 	}
 	bw := units.DataRate(1.5 * float64(bitrate))
 	in := bufferInput{
@@ -123,16 +156,20 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 		Capacity:  jitterCapacity,
 	}
 	return memo.Do(e.cache(), "buffer", in, func() (stream.Stats, error) {
-		return run(stream.ConstantBandwidth(bw))
+		buf := stream.NewJitterBuffer(jitterCapacity)
+		return stream.SimulateStreaming(stream.NewConstantSource(bw), buf, netFrame, frames, s.FPS, prebuf)
 	})
 }
 
 // periodTimeline runs the period-timeline segment: one scheduled period
 // of the scheme on the platform, memoized by (scheme, scenario,
-// platform). Cached timelines are shared read-only across cells.
-func (e Engine) periodTimeline(sch Scheme, s pipeline.Scenario) (trace.Timeline, error) {
-	return memo.Do(e.cache(), "timeline", timelineInput{Scheme: sch, Scenario: s, Platform: e.P},
-		func() (trace.Timeline, error) { return sch.scheduler()(e.P, s) })
+// platform). It also returns the segment's key, which keys the power
+// segments downstream. Cached timelines are shared read-only across
+// cells.
+func (e Engine) periodTimeline(c *memo.Cache, platformKey string, sch Scheme, s pipeline.Scenario) (trace.Timeline, string, error) {
+	key := memo.Key(c, "timeline", timelineInput{Scheme: sch, Scenario: s, Platform: platformKey})
+	tl, err := memo.DoKey(c, key, func() (trace.Timeline, error) { return sch.scheduler()(e.P, s) })
+	return tl, key, err
 }
 
 // Run plays the session through the segment pipeline. It is the
@@ -163,21 +200,23 @@ func (e Engine) Run(cfg Config) (Result, error) {
 	}
 
 	// Segment 2: one scheduled period of playback.
-	period, err := e.periodTimeline(cfg.Scheme, s)
+	c := e.cache()
+	platformKey, modelKey := e.fingerprints(c)
+	period, timelineKey, err := e.periodTimeline(c, platformKey, cfg.Scheme, s)
 	if err != nil {
 		return Result{}, fmt.Errorf("session: %v: %w", cfg.Scheme, err)
 	}
 
-	// Segment 3: power integration over the period, then an exact
-	// extension to the full session length. Scratch mode expands the
-	// whole session timeline and folds it phase by phase instead.
+	// Segments 3 and 4: power evaluation of the period, then its exact
+	// extension to the full session length, both keyed downstream of
+	// the timeline's key. Scratch mode expands the whole session
+	// timeline and folds it phase by phase instead.
 	load := power.LoadOf(e.P, s)
 	var res power.Result
 	if e.Scratch {
 		res = e.M.Evaluate(period.Repeat(frames), load)
 	} else {
-		pe := e.M.EvaluatePeriodMemo(e.Memo, period, load)
-		res = e.M.ExtendPeriod(pe, frames)
+		res = e.M.ExtendMemo(c, modelKey, timelineKey, period, load, frames)
 	}
 
 	bat := cfg.Battery

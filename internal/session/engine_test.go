@@ -1,6 +1,7 @@
 package session
 
 import (
+	"strings"
 	"testing"
 
 	"burstlink/internal/memo"
@@ -17,6 +18,7 @@ import (
 func TestEngineMemoBitIdentical(t *testing.T) {
 	p, m := env()
 	eng := Engine{P: p, M: m, Memo: memo.NewCache(256)}
+	keyed := NewEngine(p, m, memo.NewCache(256))
 	scratch := Engine{P: p, M: m}
 	vrScenario := pipeline.Scenario{
 		Res:     units.Resolution{Width: 2 * units.VR1080.Width, Height: units.VR1080.Height},
@@ -45,15 +47,18 @@ func TestEngineMemoBitIdentical(t *testing.T) {
 					if legacy != want {
 						t.Fatalf("%v %v %ds: full expansion %+v != folded %+v", s, sch, sec, legacy, want)
 					}
-					// Twice: cold fill then warm hit must both match.
+					// Twice: cold fill then warm hit must both match, for
+					// a literal Engine and for one built by NewEngine.
 					for pass := 0; pass < 2; pass++ {
-						got, err := eng.Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Fatalf("%v %v %ds pass %d: memoized %+v != scratch %+v",
-								s, sch, sec, pass, got, want)
+						for _, e := range []Engine{eng, keyed} {
+							got, err := e.Run(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got != want {
+								t.Fatalf("%v %v %ds pass %d: memoized %+v != scratch %+v",
+									s, sch, sec, pass, got, want)
+							}
 						}
 					}
 				}
@@ -67,53 +72,60 @@ func TestEngineMemoBitIdentical(t *testing.T) {
 }
 
 // TestEngineSegmentSharing pins the axis-sharing contract the sweep
-// speedup rests on: cells that differ only in bitrate or length share
-// the timeline and power segments, and cells that differ only in scheme
-// share the buffer segment.
+// speedup rests on, segment by segment: a bitrate-only change
+// recomputes the buffer alone; a length-only change recomputes the
+// buffer and the power extension, refolding the cached period
+// evaluation; a scheme-only change recomputes the timeline and both
+// power segments and reuses the buffer.
 func TestEngineSegmentSharing(t *testing.T) {
 	p, m := env()
 	base := Config{Scenario: pipeline.Planar(units.R4K, 60, 60), Scheme: BurstLink, Seconds: 10}
+	eng := NewEngine(p, m, memo.NewCache(256))
 
-	eng := Engine{P: p, M: m, Memo: memo.NewCache(256)}
-	if _, err := eng.Run(base); err != nil {
-		t.Fatal(err)
+	// step runs cfg and checks the misses and hits it adds, and how many
+	// entries of each segment the cache then holds: every miss inserts
+	// one entry, so the entry counts name the segments that missed.
+	step := func(name string, cfg Config, misses, hits uint64, entries map[string]int) {
+		t.Helper()
+		before := eng.Memo.Stats()
+		if _, err := eng.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		after := eng.Memo.Stats()
+		if got := after.Misses - before.Misses; got != misses {
+			t.Errorf("%s: %d segment misses, want %d", name, got, misses)
+		}
+		if got := after.Hits - before.Hits; got != hits {
+			t.Errorf("%s: %d segment hits, want %d", name, got, hits)
+		}
+		got := map[string]int{}
+		for _, e := range eng.Memo.Dump() {
+			got[e.Key[:strings.IndexByte(e.Key, ':')]]++
+		}
+		for seg, n := range entries {
+			if got[seg] != n {
+				t.Errorf("%s: %d %s entries, want %d (all: %v)", name, got[seg], seg, n, got)
+			}
+		}
 	}
-	miss0 := eng.Memo.Stats().Misses
 
-	// Bitrate-only change: buffer segment recomputes, timeline and power
-	// segments hit.
+	step("cold", base, 4, 0, map[string]int{"buffer": 1, "timeline": 1, "power-period": 1, "power-extend": 1})
+
 	c := base
 	c.Bitrate = 80 * units.Mbps
-	if _, err := eng.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Memo.Stats(); st.Misses != miss0+1 {
-		t.Fatalf("bitrate change recomputed %d segments, want 1 (%+v)", st.Misses-miss0, st)
-	}
+	step("bitrate change", c, 1, 2, map[string]int{"buffer": 2, "timeline": 1, "power-period": 1, "power-extend": 1})
 
-	// Length-only change: same — ExtendPeriod refolds the cached period.
-	miss0 = eng.Memo.Stats().Misses
+	// The period evaluation hits: only its extension to the new length
+	// is recomputed.
 	c = base
 	c.Seconds = 45
-	if _, err := eng.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Memo.Stats(); st.Misses != miss0+1 {
-		t.Fatalf("length change recomputed %d segments, want 1 (%+v)", st.Misses-miss0, st)
-	}
+	step("length change", c, 2, 2, map[string]int{"buffer": 3, "timeline": 1, "power-period": 1, "power-extend": 2})
 
-	// Scheme-only change: timeline and power recompute, buffer hits.
-	miss0 = eng.Memo.Stats().Misses
-	hits0 := eng.Memo.Stats().Hits
 	c = base
 	c.Scheme = Conventional
-	if _, err := eng.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Memo.Stats(); st.Misses != miss0+2 || st.Hits != hits0+1 {
-		t.Fatalf("scheme change: misses +%d hits +%d, want +2/+1 (%+v)",
-			st.Misses-miss0, st.Hits-hits0, st)
-	}
+	step("scheme change", c, 3, 1, map[string]int{"buffer": 3, "timeline": 2, "power-period": 2, "power-extend": 3})
+
+	step("repeat", base, 0, 3, map[string]int{"buffer": 3, "timeline": 2, "power-period": 2, "power-extend": 3})
 }
 
 // TestEngineCustomNetworkBypassesBufferCache: an explicit bandwidth

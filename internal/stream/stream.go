@@ -54,11 +54,22 @@ func DropoutBandwidth(base BandwidthTrace, period time.Duration, duty float64) B
 	}
 }
 
-// Source delivers encoded frames over the modeled network.
+// Source delivers encoded frames over the modeled network. A Source is
+// not safe for concurrent use: the constant-rate form remembers the
+// step count of the last frame size it delivered.
 type Source struct {
 	trace BandwidthTrace
 	// step is the integration step for bandwidth accumulation.
 	step time.Duration
+
+	// constant marks a NewConstantSource: trace is flat at rate, so a
+	// frame's step count depends only on its size.
+	constant bool
+	rate     units.DataRate
+	// lastSize and lastSteps memoize the step count of one frame size;
+	// lastSteps < 0 means nothing is memoized.
+	lastSize  units.ByteSize
+	lastSteps int64
 }
 
 // NewSource builds a source over the given bandwidth trace.
@@ -66,21 +77,86 @@ func NewSource(trace BandwidthTrace) *Source {
 	return &Source{trace: trace, step: time.Millisecond}
 }
 
+// NewConstantSource builds a source over a flat trace at rate r. Its
+// DeliveryTime returns exactly what NewSource(ConstantBandwidth(r))
+// returns — the same arrival times and the same horizon errors — but
+// runs the integrator once per distinct frame size instead of once per
+// frame: at a constant rate the number of steps a frame takes does not
+// depend on when it starts.
+func NewConstantSource(r units.DataRate) *Source {
+	return &Source{trace: ConstantBandwidth(r), step: time.Millisecond, constant: true, rate: r, lastSteps: -1}
+}
+
 // DeliveryTime integrates the bandwidth trace from start until size bytes
 // have arrived, returning the arrival completion time. It fails if the
 // transfer cannot finish within horizon.
 func (s *Source) DeliveryTime(start time.Duration, size units.ByteSize, horizon time.Duration) (time.Duration, error) {
+	if s.constant {
+		return s.constantDelivery(start, size, horizon)
+	}
 	remaining := float64(size.Bits())
 	t := start
 	for remaining > 0 {
 		if t-start > horizon {
-			return 0, fmt.Errorf("stream: %v not delivered within %v", size, horizon)
+			return 0, horizonError(size, horizon)
 		}
+		// The conversion rounds the product before the subtraction, so
+		// no platform fuses the two into one FMA and the constant-rate
+		// path can replay this fold bit for bit.
 		bw := float64(s.trace(t))
-		remaining -= bw * s.step.Seconds()
+		remaining -= float64(bw * s.step.Seconds())
 		t += s.step
 	}
 	return t, nil
+}
+
+// horizonError is DeliveryTime's failure for a transfer the horizon cut
+// short.
+func horizonError(size units.ByteSize, horizon time.Duration) error {
+	return fmt.Errorf("stream: %v not delivered within %v", size, horizon)
+}
+
+// constantDelivery is DeliveryTime at a constant rate. The integrator
+// loop above takes some k steps for a frame of this size wherever it
+// starts, and it fails exactly when its last check, after k-1 steps,
+// already lies past the horizon; so k is all it needs, and k is found by
+// replaying the loop's float subtraction once per frame size.
+func (s *Source) constantDelivery(start time.Duration, size units.ByteSize, horizon time.Duration) (time.Duration, error) {
+	if size.Bits() <= 0 {
+		return start, nil
+	}
+	if s.lastSteps < 0 || s.lastSize != size {
+		k, ok := s.countSteps(size, horizon)
+		if !ok {
+			return 0, horizonError(size, horizon)
+		}
+		s.lastSize, s.lastSteps = size, k
+	}
+	if time.Duration(s.lastSteps-1)*s.step > horizon {
+		return 0, horizonError(size, horizon)
+	}
+	return start + time.Duration(s.lastSteps)*s.step, nil
+}
+
+// countSteps replays DeliveryTime's loop for one frame and returns its
+// step count. It gives up (ok false) where the loop would report the
+// horizon error, so a rate too low for the horizon costs no more than
+// the loop did; a rate of zero or below never delivers anything and
+// gives up at once.
+func (s *Source) countSteps(size units.ByteSize, horizon time.Duration) (k int64, ok bool) {
+	inc := float64(float64(s.rate) * s.step.Seconds())
+	if inc <= 0 {
+		return 0, false
+	}
+	remaining := float64(size.Bits())
+	for remaining > 0 {
+		if time.Duration(k)*s.step > horizon {
+			return 0, false
+		}
+		remaining -= inc
+		k++
+	}
+	return k, true
 }
 
 // JitterBuffer is the encoded-frame staging buffer in DRAM (❶ in Fig 2).
